@@ -17,9 +17,11 @@ Edges join *endpoints*.  An endpoint is one of::
 Every endpoint of a validated diagram is used by exactly one edge end; a
 self-loop uses two distinct ports of the same node.
 
-The two compositions build graphs directly: sequential composition fuses
-output ports to input ports pairwise and splices the wires through, so
-composing `cup` after `cap` really produces a closed circle.
+Every composite is built by one splice: `seq` and `ten` take any number
+of parts, and `graft` puts a fragment in place of each node.  The splice
+concatenates the parts' nodes in order, joins the wires that meet at a
+shared boundary (so composing `cup` after `cap` really produces a closed
+circle), and sorts and validates the result once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Container, Iterable, Mapping, Optional, Union
 
 from .phases import Phase, PhaseLike
 from .rings import Cyclo
@@ -128,9 +130,6 @@ class Gen:
     def arity(self) -> int:
         return self.n_in + self.n_out
 
-    def port_is_input(self, port: int) -> bool:
-        return port < self.n_in
-
     def signature(self):
         return (self.kind, self.n_in, self.n_out, self.phase, _param_key(self.param))
 
@@ -159,8 +158,9 @@ class Diagram:
     """An immutable open graph with ordered boundary ports.
 
     Build diagrams from the constructors below (`generator`, `identity`,
-    `cup`, ...) and combine them with `then` / `tensor`; direct construction
-    validates that the edges form a perfect matching on all ports.
+    `cup`, ...) and combine them with `seq` / `ten` (or the binary `then` /
+    `tensor`); direct construction validates that the edges form a perfect
+    matching on all ports.
     """
 
     __slots__ = ("tag", "nodes", "edges", "n_in", "n_out", "loops")
@@ -298,58 +298,10 @@ class Diagram:
 
     def then(self, other: "Diagram") -> "Diagram":
         """Sequential composition in diagram order: self runs first."""
-        if self.n_out != other.n_in:
-            raise ArityMismatch(
-                f"cannot plug {self.n_out} outputs into {other.n_in} inputs"
-            )
-        tag = _merge_tags(self.tag, other.tag)
-        off = len(self.nodes)
-
-        def lift_self(end):
-            if end[0] == "o":
-                return ("j", end[1])
-            return end
-
-        def lift_other(end):
-            if end[0] == "i":
-                return ("j", end[1])
-            if end[0] == "n":
-                return ("n", end[1] + off, end[2])
-            return end
-
-        raw = [tuple(map(lift_self, e)) for e in self.edges]
-        raw += [tuple(map(lift_other, e)) for e in other.edges]
-        edges, extra_loops = _splice_junctions(raw)
-        return Diagram(
-            tag,
-            self.nodes + other.nodes,
-            edges,
-            self.n_in,
-            other.n_out,
-            self.loops + other.loops + extra_loops,
-        )
+        return seq(self, other)
 
     def tensor(self, other: "Diagram") -> "Diagram":
-        tag = _merge_tags(self.tag, other.tag)
-        off = len(self.nodes)
-        di, do = self.n_in, self.n_out
-
-        def lift(end):
-            if end[0] == "n":
-                return ("n", end[1] + off, end[2])
-            if end[0] == "i":
-                return ("i", end[1] + di)
-            return ("o", end[1] + do)
-
-        edges = list(self.edges) + [tuple(map(lift, e)) for e in other.edges]
-        return Diagram(
-            tag,
-            self.nodes + other.nodes,
-            edges,
-            self.n_in + other.n_in,
-            self.n_out + other.n_out,
-            self.loops + other.loops,
-        )
+        return ten(self, other)
 
     # -- phase substitution ---------------------------------------------------
 
@@ -425,20 +377,134 @@ def _splice_junctions(raw_edges):
     return edges, loops
 
 
+# -- the one composition path ---------------------------------------------------
+
+
+def _splice(tag, parts, n_in, n_out, wiring=(), loops=0) -> Diagram:
+    """Join `parts` into one diagram, sorted and validated once.
+
+    The result's nodes are the parts' nodes in order.  A part is either a
+    bare `Gen`, placed as one node and wired only by `wiring`, or a triple
+    (diagram, ins, outs): the diagram's k-th boundary input becomes the
+    endpoint ins[k] and its k-th output outs[k], each a boundary of the
+    result or a junction ("j", ...).  `wiring` lists further edges in the
+    result's node numbering.  Every junction is named by exactly two edge
+    ends; the wires through it are joined, and closed chains become loops.
+    """
+    nodes: list[Gen] = []
+    edges = list(wiring)
+    joined = False
+    for part in parts:
+        if isinstance(part, Gen):
+            nodes.append(part)
+            continue
+        d, ins, outs = part
+        off = len(nodes)
+        nodes += d.nodes
+        loops += d.loops
+        joined = joined or any(end[0] == "j" for end in (*ins, *outs))
+
+        def lift(end):
+            if end[0] == "n":
+                return ("n", end[1] + off, end[2])
+            return ins[end[1]] if end[0] == "i" else outs[end[1]]
+
+        edges += [(lift(a), lift(b)) for a, b in d.edges]
+    if joined:
+        edges, closed = _splice_junctions(edges)
+        loops += closed
+    return Diagram(tag, nodes, edges, n_in, n_out, loops)
+
+
+def seq(*ds: Diagram) -> Diagram:
+    """Left-to-right sequential composition: seq(a, b, c) runs a first."""
+    if not ds:
+        raise DiagramError("seq needs at least one diagram")
+    tag = ds[0].tag
+    for a, b in zip(ds, ds[1:]):
+        if a.n_out != b.n_in:
+            raise ArityMismatch(f"cannot plug {a.n_out} outputs into {b.n_in} inputs")
+        tag = _merge_tags(tag, b.tag)
+    if len(ds) == 1:
+        return ds[0]
+    last = len(ds) - 1
+    parts = [
+        (
+            d,
+            [("j", k, m) if k else ("i", m) for m in range(d.n_in)],
+            [("j", k + 1, m) if k < last else ("o", m) for m in range(d.n_out)],
+        )
+        for k, d in enumerate(ds)
+    ]
+    return _splice(tag, parts, ds[0].n_in, ds[-1].n_out)
+
+
+def ten(*ds: Diagram) -> Diagram:
+    """Tensor product, stacking the factors top to bottom."""
+    if not ds:
+        raise DiagramError("ten needs at least one diagram")
+    tag = ds[0].tag
+    for d in ds[1:]:
+        tag = _merge_tags(tag, d.tag)
+    if len(ds) == 1:
+        return ds[0]
+    parts = []
+    n_in = n_out = 0
+    for d in ds:
+        ins = [("i", n_in + m) for m in range(d.n_in)]
+        outs = [("o", n_out + m) for m in range(d.n_out)]
+        parts.append((d, ins, outs))
+        n_in += d.n_in
+        n_out += d.n_out
+    return _splice(tag, parts, n_in, n_out)
+
+
+def graft(d: Diagram, replace, tag: Optional[str]) -> Diagram:
+    """Rebuild `d`, tagged `tag`, with each node passed through `replace`.
+
+    `replace(gen)` returns None to keep the node, a `Gen` of the same arity
+    to relabel it in place, or a diagram of the same shape whose boundaries
+    are spliced into the original wiring.
+    """
+    reps = [replace(g) for g in d.nodes]
+    for g, r in zip(d.nodes, reps):
+        if r is not None and (r.n_in, r.n_out) != (g.n_in, g.n_out):
+            raise ArityMismatch(
+                f"replacement for {g.kind} is {r.n_in}->{r.n_out}, "
+                f"wanted {g.n_in}->{g.n_out}"
+            )
+    if not any(isinstance(r, Diagram) for r in reps):
+        nodes = [g if r is None else r for g, r in zip(d.nodes, reps)]
+        return Diagram(tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
+    parts = []
+    offs = []
+    count = 0
+    for i, (g, r) in enumerate(zip(d.nodes, reps)):
+        offs.append(count)
+        if isinstance(r, Diagram):
+            ports = [("j", i, p) for p in range(g.arity)]
+            parts.append((r, ports[: g.n_in], ports[g.n_in :]))
+            count += len(r.nodes)
+        else:
+            parts.append(g if r is None else r)
+            count += 1
+
+    def lift(end):
+        if end[0] != "n":
+            return end
+        _, i, p = end
+        return ("j", i, p) if isinstance(reps[i], Diagram) else ("n", offs[i], p)
+
+    wiring = [(lift(a), lift(b)) for a, b in d.edges]
+    return _splice(tag, parts, d.n_in, d.n_out, wiring, d.loops)
+
+
 # -- module-level operations ------------------------------------------------
 
 
 def compose(d2: Diagram, d1: Diagram) -> Diagram:
     """Sequential composition d2 after d1 (d1 runs first)."""
     return d1.then(d2)
-
-
-def tensor(d1: Diagram, d2: Diagram) -> Diagram:
-    return d1.tensor(d2)
-
-
-def substitute(d: Diagram, valuation: Mapping[str, PhaseLike]) -> Diagram:
-    return d.substitute(valuation)
 
 
 def flip(d: Diagram) -> Diagram:
@@ -460,43 +526,58 @@ def flip(d: Diagram) -> Diagram:
     return Diagram(d.tag, d.nodes, edges, d.n_out, d.n_in, d.loops)
 
 
+_OTHER_COLOUR = {Z: X, X: Z}
+
+
 def color_swap(d: Diagram) -> Diagram:
     """Exchange the two spider colours; triangles get Hadamard-conjugated."""
     if d.tag not in (None, "zx", "zxt"):
         raise CalculusMismatch(f"color_swap is for ZX-family diagrams, not {d.tag}")
-    nodes = []
-    remap = {}  # old id -> new id (for TRI: id of the triangle in its sandwich)
+
+    def replace(g: Gen):
+        if g.kind in _OTHER_COLOUR:
+            return Gen(_OTHER_COLOUR[g.kind], g.n_in, g.n_out, g.phase)
+        if g.kind == TRI:
+            return seq(h(), tri(g.param), h())
+        return None
+
+    return graft(d, replace, d.tag)
+
+
+def red_to_green(d: Diagram, only: Optional[Container[int]] = None) -> Diagram:
+    """Replace each X spider by a Z spider with a Hadamard on every leg,
+    which is the X spider's definition; `only` limits this to those node
+    indices.
+
+    A single direct pass: each spider's Hadamards follow it in node order.
+    """
+    red = [g.kind == X and (only is None or i in only) for i, g in enumerate(d.nodes)]
+    if not any(red):
+        return d
+    nodes: list[Gen] = []
+    hads: dict[tuple[int, int], int] = {}  # (old node, port) -> H node id
+    remap: dict[int, int] = {}
     edges = []
     for i, g in enumerate(d.nodes):
-        if g.kind == Z:
-            remap[i] = len(nodes)
-            nodes.append(Gen(X, g.n_in, g.n_out, g.phase))
-        elif g.kind == X:
-            remap[i] = len(nodes)
-            nodes.append(Gen(Z, g.n_in, g.n_out, g.phase))
-        elif g.kind == TRI:
-            ha = len(nodes)
-            nodes.append(Gen(H, 1, 1))
-            tri = len(nodes)
-            nodes.append(Gen(TRI, 1, 1, None, g.param))
-            hb = len(nodes)
-            nodes.append(Gen(H, 1, 1))
-            remap[i] = ("sandwich", ha, tri, hb)
-            edges.append((("n", ha, 1), ("n", tri, 0)))
-            edges.append((("n", tri, 1), ("n", hb, 0)))
-        else:
-            remap[i] = len(nodes)
+        remap[i] = len(nodes)
+        if not red[i]:
             nodes.append(g)
+            continue
+        zi = len(nodes)
+        nodes.append(Gen(Z, g.n_in, g.n_out, g.phase))
+        for p in range(g.arity):
+            hi = len(nodes)
+            nodes.append(Gen(H, 1, 1))
+            hads[(i, p)] = hi
+            edges.append((("n", hi, 1), ("n", zi, p)))
 
     def lift(end):
         if end[0] != "n":
             return end
         _, i, p = end
-        r = remap[i]
-        if isinstance(r, int):
-            return ("n", r, p)
-        _, ha, tri, hb = r
-        return ("n", ha, 0) if p == 0 else ("n", hb, 1)
+        if (i, p) in hads:
+            return ("n", hads[(i, p)], 0)
+        return ("n", remap[i], p)
 
     edges += [tuple(map(lift, e)) for e in d.edges]
     return Diagram(d.tag, nodes, edges, d.n_in, d.n_out, d.loops)
@@ -680,22 +761,3 @@ def half() -> Diagram:
 
 def tri(param=1) -> Diagram:
     return Diagram.generator(Gen(TRI, 1, 1, None, param))
-
-
-def seq(*ds: Diagram) -> Diagram:
-    """Left-to-right sequential composition: seq(a, b, c) runs a first."""
-    if not ds:
-        raise DiagramError("seq needs at least one diagram")
-    out = ds[0]
-    for d in ds[1:]:
-        out = out.then(d)
-    return out
-
-
-def ten(*ds: Diagram) -> Diagram:
-    if not ds:
-        raise DiagramError("ten needs at least one diagram")
-    out = ds[0]
-    for d in ds[1:]:
-        out = out.tensor(d)
-    return out

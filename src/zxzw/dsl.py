@@ -37,6 +37,8 @@ from .diagrams import (
     Gen,
     h,
     half,
+    seq,
+    ten,
     tri,
     w11,
     w12,
@@ -338,13 +340,13 @@ class _Parser:
             children.append((self.expr(), tok))
         if not children:
             raise DslError(f"{name} needs at least one diagram", opener.line, opener.col)
-        out = children[0][0]
-        for d, tok in children[1:]:
-            try:
-                out = out.then(d) if name == "seq" else out.tensor(d)
-            except ArityMismatch as e:
-                raise DslError(str(e), tok.line, tok.col) from None
-        return out
+        ds = [d for d, _ in children]
+        try:
+            return seq(*ds) if name == "seq" else ten(*ds)
+        except ArityMismatch as e:
+            # point at the first child whose inputs do not fit
+            tok = next(t for (a, _), (b, t) in zip(children, children[1:]) if a.n_out != b.n_in)
+            raise DslError(str(e), tok.line, tok.col) from None
 
 
 def parse(src: str) -> Diagram:

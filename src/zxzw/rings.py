@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 _OMEGA = cmath.exp(1j * math.pi / 4)
 
@@ -85,9 +84,6 @@ class Dyadic:
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def is_integer(self) -> bool:
-        return self.exp == 0
 
     def to_float(self) -> float:
         if abs(self.num) < 2**52:
@@ -253,11 +249,6 @@ class Cyclo:
     def is_real_dyadic(self) -> bool:
         return self.b == self.c == self.d == 0
 
-    def to_dyadic(self) -> Dyadic:
-        if not self.is_real_dyadic():
-            raise ValueError(f"{self!r} is not a dyadic rational")
-        return Dyadic(self.a, self.e)
-
     def to_complex(self) -> complex:
         h = 2.0 ** (-self.e - 1)  # 1 / 2^{e+1}
         s = math.sqrt(2.0)
@@ -326,12 +317,6 @@ OMEGA = Cyclo.omega_power(1)
 I_UNIT = Cyclo.omega_power(2)
 SQRT2 = Cyclo(0, 1, 0, -1)  # omega - omega^3
 INV_SQRT2 = Cyclo(0, 1, 0, -1, 1)  # (omega - omega^3) / 2
-
-
-@lru_cache(maxsize=64)
-def phase_unit(k: int) -> Cyclo:
-    """e^{i k pi/4} as an exact ring element."""
-    return Cyclo.omega_power(k)
 
 
 def omega_float(k: int) -> complex:

@@ -794,7 +794,7 @@ def verify_rule(
                         "rhs_matrix": _json_matrix(interp(rhs, FLOAT)),
                     }
                 )
-    status = "PASS" if failed == 0 else "FAIL"
+    status = "PASS" if checked and not failed else "FAIL"  # no PASS on zero instances
     return RuleReport(rule.name, checked, status, failures, failed)
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, X, Z, ArityMismatch, Diagram, Gen
+from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, Z, ArityMismatch, Diagram, Gen, red_to_green
 from .matrices import Matrix, SparseMatrix
 from .rings import INV_SQRT2, Cyclo
 
@@ -124,40 +124,6 @@ def _accum(d: dict, key, value):
         d[key] = d[key] + value
     else:
         d[key] = value
-
-
-def _expand_red_spiders(d: Diagram) -> Diagram:
-    """Replace every X spider by a Z spider with a Hadamard on each leg."""
-    if not any(g.kind == X for g in d.nodes):
-        return d
-    nodes: list[Gen] = []
-    hads: dict[tuple[int, int], int] = {}  # (old node, port) -> H node id
-    remap: dict[int, int] = {}
-    edges = []
-    for i, g in enumerate(d.nodes):
-        if g.kind != X:
-            remap[i] = len(nodes)
-            nodes.append(g)
-            continue
-        zi = len(nodes)
-        nodes.append(Gen(Z, g.n_in, g.n_out, g.phase))
-        remap[i] = zi
-        for p in range(g.arity):
-            hi = len(nodes)
-            nodes.append(Gen(H, 1, 1))
-            hads[(i, p)] = hi
-            edges.append((("n", hi, 1), ("n", zi, p)))
-
-    def lift(end):
-        if end[0] != "n":
-            return end
-        _, i, p = end
-        if (i, p) in hads:
-            return ("n", hads[(i, p)], 0)
-        return ("n", remap[i], p)
-
-    edges += [tuple(map(lift, e)) for e in d.edges]
-    return Diagram(d.tag, nodes, edges, d.n_in, d.n_out, d.loops)
 
 
 # -- contraction ---------------------------------------------------------------
@@ -274,7 +240,7 @@ def interp(d: Diagram, mode: InterpMode = EXACT):
     if d.free_variables():
         raise SemanticsError(f"free phase variables {sorted(d.free_variables())}")
     exact = isinstance(mode, Exact)
-    d = _expand_red_spiders(d)
+    d = red_to_green(d)
     one = Cyclo(1) if exact else 1 + 0j
 
     # label every edge; boundary ports get their own open labels

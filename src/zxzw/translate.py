@@ -1,10 +1,10 @@
 """Translations between the two calculi, in both directions.
 
-Both directions are generator-wise: each node is replaced by a fixed
-fragment in the other calculus with the same boundary arity, and the
-original wiring is kept.  That makes the translations strict monoidal
-functors by construction, and semantics preservation reduces to checking
-each fragment against its generator — which the tests do exactly.
+Both directions are generator-wise: `diagrams.graft` replaces each node by
+a fixed fragment in the other calculus with the same boundary arity and
+splices it into the original wiring.  That makes the translations strict
+monoidal functors by construction, and semantics preservation reduces to
+checking each fragment against its generator — which the tests do exactly.
 
 Scalars are never normalised away: every fragment matches its generator on
 the nose, so a round trip preserves the interpretation exactly, global
@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import diagrams as dg
 from . import gadgets as gad
 from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, X, Z, Diagram, Gen
-from .diagrams import _splice_junctions
 from .phases import Phase, PhaseLike
 from .rings import Cyclo, INV_SQRT2
 
@@ -32,58 +31,6 @@ class TranslateError(Exception):
 
 class SingularPhase(TranslateError):
     """Raised where an inverse is requested at the pole alpha = pi."""
-
-
-# -- node-wise grafting ----------------------------------------------------------
-
-
-def _graft(d: Diagram, replace, tag) -> Diagram:
-    """Rebuild `d` with each node passed through `replace`.
-
-    `replace(gen)` returns a same-arity diagram, or None to keep the node.
-    Replacement boundaries are spliced into the original wiring.
-    """
-    reps = [replace(g) for g in d.nodes]
-    nodes: list[Gen] = []
-    offs: list[int] = []
-    loops = d.loops
-    for g, r in zip(d.nodes, reps):
-        offs.append(len(nodes))
-        if r is None:
-            nodes.append(g)
-        else:
-            if r.shape != (g.n_in, g.n_out):
-                raise TranslateError(
-                    f"replacement for {g.kind} has shape {r.shape}, "
-                    f"wanted {(g.n_in, g.n_out)}"
-                )
-            nodes.extend(r.nodes)
-            loops += r.loops
-
-    def lift_old(end):
-        if end[0] != "n":
-            return end
-        _, i, p = end
-        if reps[i] is None:
-            return ("n", offs[i], p)
-        return ("j", (i, p))
-
-    raw = [tuple(map(lift_old, e)) for e in d.edges]
-    for i, r in enumerate(reps):
-        if r is None:
-            continue
-        g, off = d.nodes[i], offs[i]
-
-        def lift_rep(end, off=off, i=i, n_in=g.n_in):
-            if end[0] == "n":
-                return ("n", end[1] + off, end[2])
-            if end[0] == "i":
-                return ("j", (i, end[1]))
-            return ("j", (i, n_in + end[1]))
-
-        raw += [tuple(map(lift_rep, e)) for e in r.edges]
-    edges, extra = _splice_junctions(raw)
-    return Diagram(tag, nodes, edges, d.n_in, d.n_out, loops + extra)
 
 
 # -- zx to zw --------------------------------------------------------------------
@@ -161,7 +108,7 @@ def zx_to_zw(d: Diagram) -> Diagram:
             return core.tensor(_white_scalar(comp))
         raise TranslateError(f"no zw image for generator kind {g.kind}")
 
-    return _graft(d, replace, "zw")
+    return dg.graft(d, replace, "zw")
 
 
 # -- parameter encoding and the zw to zx direction -------------------------------
@@ -261,7 +208,7 @@ def zw_to_zx(d: Diagram) -> Diagram:
             return gad.half_scalar()
         raise TranslateError(f"no zx image for generator kind {g.kind}")
 
-    return _graft(d, replace, "zx")
+    return dg.graft(d, replace, "zx")
 
 
 def round_trip(d: Diagram) -> Diagram:
@@ -357,4 +304,4 @@ def expand_triangle(d: Diagram) -> Diagram:
             return None
         return _triangle_zx(g.param)
 
-    return _graft(d, replace, "zx")
+    return dg.graft(d, replace, "zx")

@@ -114,6 +114,23 @@ def test_check_proof_json(tmp_path, capsys):
     assert main(["check-proof", "proofs/w-unit.zwp", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "PASS" and payload["steps"] == 3
+    assert payload["sampled_steps"] == 0
+
+
+def test_check_proof_with_phase_variables(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ZXZW_SEED", "7")
+    f = write(tmp_path, "var.zxp", "proof var\nset zx-pi2\n(seq (Z 1 1 a) (Z 1 1 0))\nby S\n(Z 1 1 a)\n")
+    assert main(["check-proof", f]) == 0
+    assert capsys.readouterr().out == (
+        "proof var (zx-pi2, 2 steps): PASS [1 steps checked by sampling: evidence, not proof]\n"
+    )
+    assert main(["check-proof", f, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sampled_steps"] == 1
+
+
+def test_check_proof_text_has_no_sampling_note_for_ground_proofs(capsys):
+    assert main(["check-proof", "proofs/w-unit.zwp"]) == 0
+    assert capsys.readouterr().out == "proof w-unit (zw, 3 steps): PASS\n"
 
 
 def test_simplify_output_parses_and_preserves(tmp_path, capsys):
@@ -129,6 +146,13 @@ def test_verify_axioms_small_budget(capsys):
     assert "all rules PASS" in out
     assert main(["verify-axioms", "--set", "no-such-set"]) == 2
     capsys.readouterr()
+
+
+def test_verify_axioms_fails_on_zero_instances(capsys):
+    assert main(["verify-axioms", "--set", "zx-pi2", "--budget", "0", "--samples", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "    K      0 instances  FAIL" in out
+    assert "FAILURES" in out
 
 
 def test_verify_axioms_json_is_stable(capsys):

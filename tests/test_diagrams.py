@@ -16,6 +16,7 @@ from zxzw.diagrams import (
     color_swap,
     compose,
     flip,
+    graft,
     iso_equal,
     rotate_cross_ports,
     seq,
@@ -153,6 +154,31 @@ def test_interchange_of_compositions(seed):
     assert iso_equal(seq(ten(d1, e1), ten(d2, e2)), ten(seq(d1, d2), seq(e1, e2)))
 
 
+@pytest.mark.parametrize("compose_all", [seq, ten])
+def test_nary_composition_validates_once(compose_all, monkeypatch):
+    parts = [dg.z(1, 1, Fraction(1, 4))] * 400
+    calls = []
+    original = Diagram.validate
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(Diagram, "validate", counted)
+    out = compose_all(*parts)
+    assert len(calls) == 1
+    assert len(out.nodes) == 400
+
+
+def test_nary_seq_keeps_pairwise_error_order():
+    # the pair (z, w11) fits but mixes calculi before (w11, z(2, 1)) misfits
+    with pytest.raises(CalculusMismatch):
+        seq(dg.z(1, 1), dg.w11(), dg.z(2, 1))
+    # the pair (z, z(2, 1)) misfits before w11 mixes calculi
+    with pytest.raises(ArityMismatch):
+        seq(dg.z(1, 1), dg.z(2, 1), dg.w11())
+
+
 # -- substitution -------------------------------------------------------------------
 
 
@@ -263,6 +289,26 @@ def test_iso_distinguishes_mutated_phase(seed):
     nodes[i] = Gen(g.kind, g.n_in, g.n_out, g.phase + Phase.exact_pi(Fraction(1, 4)), g.param)
     mutated = Diagram(d.tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
     assert not iso_equal(d, mutated)
+
+
+# -- grafting -------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["zx", "zxt", "zw"]))
+def test_graft_keeping_every_node_is_identity(seed, tag):
+    d = random_diagram(random.Random(seed), tag=tag)
+    assert graft(d, lambda g: None, d.tag) == d
+
+
+def test_graft_splices_and_relabels():
+    d = seq(dg.z(1, 2, Fraction(1, 4)), dg.x(2, 1))
+    out = graft(d, lambda g: seq(dg.z(2, 1), dg.h()) if g.kind == "X" else None, d.tag)
+    assert out == seq(dg.z(1, 2, Fraction(1, 4)), dg.z(2, 1), dg.h())
+    relabelled = graft(d, lambda g: Gen("Z", g.n_in, g.n_out, g.phase), d.tag)
+    assert relabelled.edges == d.edges
+    with pytest.raises(ArityMismatch):
+        graft(d, lambda g: dg.h(), d.tag)
 
 
 # -- flip and color swap -----------------------------------------------------------

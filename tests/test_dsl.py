@@ -90,6 +90,7 @@ def test_phase_grammar():
         ("(Z x 1)", 1, 4),
         ("(wz 1 1 cyclo:1,2)", 1, 9),
         ("(seq H\n     cup)", 2, 6),
+        ("(seq id id\n  (Z 1 2) id)", 2, 11),
     ],
 )
 def test_errors_carry_positions(text, line, col):

@@ -160,6 +160,17 @@ def test_single_step_proof_passes():
     assert res.ok and res.n_steps == 1
 
 
+VARIABLE_PROOF = "proof var\nset zx-pi2\n(seq (Z 1 1 a) (Z 1 1 0))\nby S\n(Z 1 1 a)\n"
+
+
+def test_proof_steps_with_phase_variables_are_sampled():
+    res = rw.check_proof(rw.parse_proof(VARIABLE_PROOF), seed=3)
+    assert res.ok and res.sampled_steps == 1
+    assert res.to_json()["sampled_steps"] == 1
+    wrong = rw.check_proof(rw.parse_proof(VARIABLE_PROOF.replace("(Z 1 1 0)", "(Z 1 1 pi)")))
+    assert [f["step"] for f in wrong.failures] == [0] and wrong.sampled_steps == 1
+
+
 def test_corrupted_phase_fails_at_first_transition():
     text = (PROOF_DIR / "pi-commutation.zxp").read_text()
     res = rw.check_proof(rw.parse_proof(text.replace("7*pi/4", "5*pi/4")))

@@ -115,3 +115,9 @@ def test_failure_record_carries_both_matrices():
     fail = rep.failures[0]
     assert fail["lhs_matrix"] != fail["rhs_matrix"]
     assert len(fail["lhs_matrix"]) == 4  # a 4 x 4 matrix, row-major
+
+
+def test_no_pass_on_zero_instances():
+    rep = ru.verify_rule(ru.RULE_K, budget=0)
+    assert rep.instances == 0
+    assert rep.status == "FAIL"
