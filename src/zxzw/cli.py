@@ -17,7 +17,7 @@ from . import rules
 from . import translate as tr
 from .diagrams import Diagram, DiagramError, MissingVariable
 from .dsl import DslError, parse, print_diagram
-from .matrices import Matrix
+from .matrices import Matrix, SparseMatrix
 from .rings import Cyclo
 from .semantics import EXACT, Exact, Float, best_mode, eq_linear, eq_semantic, exact_eligible, interp
 
@@ -77,6 +77,10 @@ def _entry_text(v) -> str:
     return f"{z.real:.10g}{sign}{abs(z.imag):.10g}i"
 
 
+def _dense(m) -> Matrix:
+    return m.to_dense() if isinstance(m, SparseMatrix) else m
+
+
 def _pick_mode(args, *ds, tol: float = 1e-9):
     if getattr(args, "exact", False):
         for d in ds:
@@ -98,7 +102,7 @@ def _cmd_eval(args) -> int:
         )
     mode = _pick_mode(args, d)
     try:
-        m = interp(d, mode)
+        m = _dense(interp(d, mode))
     except MissingVariable as e:
         raise InputError(str(e)) from None
     exact = isinstance(mode, Exact)
@@ -119,7 +123,8 @@ def _cmd_eq(args) -> int:
     if d1.free_variables() or d2.free_variables():
         res = eq_linear(d1, d2, samples=args.samples, seed=args.seed, tol=args.tol)
         if res.equal:
-            print(f"equal on {res.valuations_checked} valuations")
+            proof = " (proved for every phase)" if res.proved else ""
+            print(f"equal on {res.valuations_checked} valuations{proof}")
             return 0
         witness = {k: str(v) for k, v in sorted(res.witness.items())}
         print(f"not equal; witness valuation: {json.dumps(witness)}")
@@ -128,7 +133,7 @@ def _cmd_eq(args) -> int:
     if eq_semantic(d1, d2, mode):
         print("equal")
         return 0
-    diff = interp(d1, mode).max_abs_diff(interp(d2, mode))
+    diff = _dense(interp(d1, mode)).max_abs_diff(_dense(interp(d2, mode)))
     print(f"not equal (max entry difference {diff:.3g})")
     return 1
 

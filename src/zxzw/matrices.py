@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import Cyclo
+from .rings import Cyclo, is_zero
 
 
 def _to_complex(x) -> complex:
@@ -153,7 +153,7 @@ class SparseMatrix:
 
     def __init__(self, entries: dict, rows: int, cols: int):
         self.entries = {
-            k: v for k, v in entries.items() if not _is_zero_entry(v)
+            k: v for k, v in entries.items() if not is_zero(v)
         }
         self.rows = rows
         self.cols = cols
@@ -194,12 +194,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix[{self.rows}x{self.cols}]({len(self.entries)} nonzero)"
-
-
-def _is_zero_entry(v) -> bool:
-    if isinstance(v, Cyclo):
-        return v.is_zero()
-    return v == 0
 
 
 def _dot(row, col):

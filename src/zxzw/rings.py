@@ -4,6 +4,10 @@ Every scalar produced by interpreting a diagram whose phases are multiples of
 pi/4 lives in the ring D[omega] = Z[1/2][omega] with omega^4 = -1.  The classes
 here implement that ring with arbitrary-precision integers, plus the embedding
 into complex floats.  1/sqrt(2) is (omega - omega^3)/2.
+
+`Laurent` holds the interpretation of a diagram whose phases carry
+variables: a Laurent polynomial in z_v = e^{iv}, with coefficients in the
+ring or, when some constant is not in it, in complex floats.
 """
 
 from __future__ import annotations
@@ -321,3 +325,91 @@ INV_SQRT2 = Cyclo(0, 1, 0, -1, 1)  # (omega - omega^3) / 2
 
 def omega_float(k: int) -> complex:
     return _OMEGA**(k % 8)
+
+
+def is_zero(x) -> bool:
+    """Zero test for a ring element, a number or a `Laurent` polynomial."""
+    return x.is_zero() if isinstance(x, Cyclo) else x == 0
+
+
+class Laurent:
+    """A Laurent polynomial sum_n c_n z^n in commuting variables z_1..z_k.
+
+    `terms` maps integer exponent tuples (one slot per variable) to nonzero
+    coefficients, all Cyclo (exact) or all complex (float).  Multiplication
+    also accepts a bare coefficient.  Comparison with 0 is `is_zero`, so the
+    module-level `is_zero` needs no case for this type.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {n: c for n, c in terms.items() if not is_zero(c)}
+
+    def __add__(self, other: "Laurent") -> "Laurent":
+        out = dict(self.terms)
+        for n, c in other.terms.items():
+            out[n] = out[n] + c if n in out else c
+        return Laurent(out)
+
+    def __neg__(self) -> "Laurent":
+        return Laurent({n: -c for n, c in self.terms.items()})
+
+    def __sub__(self, other: "Laurent") -> "Laurent":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Laurent":
+        if not isinstance(other, Laurent):
+            return Laurent({n: c * other for n, c in self.terms.items()})
+        out: dict = {}
+        for n1, c1 in self.terms.items():
+            for n2, c2 in other.terms.items():
+                n = tuple(a + b for a, b in zip(n1, n2))
+                out[n] = out[n] + c1 * c2 if n in out else c1 * c2
+        return Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, Laurent):
+            return self.terms == other.terms
+        if other == 0:
+            return self.is_zero()
+        return NotImplemented
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def mod_z8(self) -> "Laurent":
+        """The remainder mod z_v^8 - 1 for every v: exponents taken mod 8.
+        It is zero exactly when the polynomial vanishes at every z_v = omega^r."""
+        out: dict = {}
+        for n, c in self.terms.items():
+            n = tuple(x % 8 for x in n)
+            out[n] = out[n] + c if n in out else c
+        return Laurent(out)
+
+    def at_omega(self, rs):
+        """The value at z_v = omega^{r_v}: a Cyclo for exact coefficients,
+        a complex for float ones (the int 0 for the zero polynomial)."""
+        return sum(
+            c * (_OMEGA_POWERS if isinstance(c, Cyclo) else _OMEGA_FLOATS)[sum(a * r for a, r in zip(n, rs)) % 8]
+            for n, c in self.terms.items()
+        )
+
+    def at_angles(self, thetas) -> complex:
+        """The complex value at z_v = e^{i theta_v}."""
+        acc = 0j
+        for n, c in self.terms.items():
+            c = c.to_complex() if isinstance(c, Cyclo) else c
+            acc += c * cmath.exp(1j * sum(a * t for a, t in zip(n, thetas)))
+        return acc
+
+    def __repr__(self):
+        return f"Laurent({self.terms!r})"
+
+
+_OMEGA_POWERS = tuple(Cyclo.omega_power(k) for k in range(8))
+_OMEGA_FLOATS = tuple(omega_float(k) for k in range(8))

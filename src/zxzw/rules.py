@@ -755,9 +755,16 @@ def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
     total = math.prod(len(v) for v in domains)
     if total <= budget:
         return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
-    return [
-        {name: rng.choice(vals) for name, vals in rule.grid} for _ in range(budget)
-    ]
+    # `budget` distinct grid points, in grid order: indices into the
+    # product, decoded in mixed radix with the last name varying fastest
+    bindings = []
+    for index in sorted(rng.sample(range(total), budget)):
+        combo = []
+        for vals in reversed(domains):
+            index, r = divmod(index, len(vals))
+            combo.append(vals[r])
+        bindings.append(dict(zip(names, reversed(combo))))
+    return bindings
 
 
 def verify_rule(

@@ -11,6 +11,11 @@ eliminating at each step the pair of tensors whose merge leaves the fewest
 open wires.  Red spiders are not given their own tensor: a pre-pass rewrites
 each one into a green spider with a Hadamard on every leg, which is their
 definition.
+
+The same contraction runs over Laurent polynomials in z_v = e^{iv} for
+diagrams whose phases carry variables, so `eq_linear` interprets each side
+once and decides every valuation from the difference; when all constants
+are exact, an identically zero difference proves equality for every phase.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, Z, ArityMismatch, Diagram, Gen, red_to_green
 from .matrices import Matrix, SparseMatrix
-from .rings import INV_SQRT2, Cyclo
+from .phases import Phase
+from .rings import INV_SQRT2, Cyclo, Laurent, is_zero
 
 _DENSE_LIMIT_BITS = 12  # beyond 2^6 x 2^6, fall back to coordinate form
 
@@ -51,8 +58,15 @@ FLOAT = Float()
 def exact_eligible(d: Diagram) -> bool:
     """True when every phase is a closed multiple of pi/4 and every
     parameter lies in the ring."""
+    return not d.free_variables() and _constants_exact(d)
+
+
+def _constants_exact(d: Diagram) -> bool:
+    """True when the constant part of every phase is a multiple of pi/4 and
+    every parameter lies in the ring: then every valuation on the pi/4 grid
+    is exact-eligible."""
     for g in d.nodes:
-        if g.phase is not None and g.phase.omega_exponent() is None:
+        if g.phase is not None and not (g.phase.is_exact and (g.phase.const * 4).denominator == 1):
             return False
         if g.param is not None and not isinstance(g.param, (int, Cyclo)):
             return False
@@ -71,12 +85,8 @@ def best_mode(*ds: Diagram, tol: float = 1e-9) -> InterpMode:
 def _phase_factor(phase, exact: bool):
     if exact:
         k = phase.omega_exponent()
-        if k is None:
-            raise SemanticsError(
-                f"phase {phase!r} is not an exact multiple of pi/4"
-                if not phase.variables()
-                else f"free phase variables {sorted(phase.variables())}"
-            )
+        if k is None:  # free variables were refused before
+            raise SemanticsError(f"phase {phase!r} is not an exact multiple of pi/4")
         return Cyclo.omega_power(k)
     return cmath.exp(1j * phase.to_float())
 
@@ -168,15 +178,9 @@ def _contract_pair(t1, t2):
         left = tuple(key[t] for t in keep1)
         for right, v2 in index.get(sig, ()):
             _accum(out, left + right, val * v2)
-    out = {k: v for k, v in out.items() if not _is_zero(v)}
+    out = {k: v for k, v in out.items() if not is_zero(v)}
     labels = [labels1[t] for t in keep1] + [labels2[t] for t in keep2]
     return labels, out
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, Cyclo):
-        return v.is_zero()
-    return v == 0
 
 
 def _contract_all(tensors):
@@ -240,8 +244,23 @@ def interp(d: Diagram, mode: InterpMode = EXACT):
     if d.free_variables():
         raise SemanticsError(f"free phase variables {sorted(d.free_variables())}")
     exact = isinstance(mode, Exact)
-    d = red_to_green(d)
     one = Cyclo(1) if exact else 1 + 0j
+    coords = _contract_diagram(d, lambda g: _gen_entries(g, exact), one)
+    m, n = d.n_out, d.n_in
+    if m + n > _DENSE_LIMIT_BITS:
+        return SparseMatrix(coords, 1 << m, 1 << n)
+    zero = Cyclo(0) if exact else 0j
+    data = [[zero] * (1 << n) for _ in range(1 << m)]
+    for (r, c), v in coords.items():
+        data[r][c] = v
+    return Matrix(data)
+
+
+def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
+    """Contract the tensor network of `d`, whose generator tensors come
+    from `gen_entries(g)` over the scalar ring with unit `one`, to a map
+    from (row, col) to the nonzero entries of its matrix."""
+    d = red_to_green(d)
 
     # label every edge; boundary ports get their own open labels
     tensors = []
@@ -262,7 +281,7 @@ def interp(d: Diagram, mode: InterpMode = EXACT):
             labels.append(lab)
         # boundary-adjacent legs re-labelled to open boundary labels
         labels = [_openlabel(d, lab, i) for lab, _ in zip(labels, range(g.arity))]
-        tensors.append(_self_trace(labels, _gen_entries(g, exact)))
+        tensors.append(_self_trace(labels, gen_entries(g)))
 
     scalar = one
     for _ in range(d.loops):
@@ -287,13 +306,7 @@ def interp(d: Diagram, mode: InterpMode = EXACT):
             else:
                 col |= bit << (n - 1 - colpos[lab])
         coords[(row, col)] = val
-    if m + n > _DENSE_LIMIT_BITS:
-        return SparseMatrix(coords, 1 << m, 1 << n)
-    zero = Cyclo(0) if exact else 0j
-    data = [[zero] * (1 << n) for _ in range(1 << m)]
-    for (r, c), v in coords.items():
-        data[r][c] = v
-    return Matrix(data)
+    return coords
 
 
 def _blabel(end):
@@ -326,11 +339,16 @@ def eq_semantic(d1: Diagram, d2: Diagram, mode: Optional[InterpMode] = None) -> 
 
 @dataclass(frozen=True)
 class LinearEqResult:
-    """Outcome of a sampled equality check on diagrams with phase variables."""
+    """Outcome of an equality check on diagrams with phase variables.
+
+    `proved` is True when the two exact interpretations are identical as
+    polynomials in the phases, which holds for every real valuation;
+    otherwise a True `equal` is evidence from the valuations checked."""
 
     equal: bool
     witness: Optional[Mapping[str, object]]  # falsifying valuation, if any
     valuations_checked: int
+    proved: bool = False
 
     def __bool__(self) -> bool:
         return self.equal
@@ -345,41 +363,79 @@ def eq_linear(
 ) -> LinearEqResult:
     """Equality of two diagram families over their shared phase variables.
 
-    Checks every valuation on the pi/4 grid (subsampled beyond 4096
-    combinations) with exact arithmetic where eligible, plus `samples`
-    uniform random valuations in float mode.  Variables are pooled from both
-    sides, so a family may be compared against a variable-free diagram.  A
-    False verdict is always right and carries a witness; True is sound only
-    up to sampling.
+    Each side is interpreted once as a matrix of Laurent polynomials in
+    z_v = e^{iv}; their difference is then checked on every valuation of
+    the pi/4 grid (subsampled beyond 4096 combinations), exactly when every
+    constant is in the ring, plus `samples` uniform random valuations in
+    float.  Variables are pooled from both sides, so a family may be
+    compared against a variable-free diagram.  A False verdict is always
+    right and carries the first falsifying valuation as its witness.  A
+    True verdict is `proved` for every real valuation when the difference
+    is exactly zero; with float constants it is evidence from the
+    valuations checked.
     """
     if d1.shape != d2.shape:
         raise ArityMismatch(f"cannot compare {d1.shape} with {d2.shape}")
     names = sorted(d1.free_variables() | d2.free_variables())
     if not names:
-        ok = eq_semantic(d1, d2, best_mode(d1, d2, tol=tol))
-        return LinearEqResult(ok, None if ok else {}, 1)
+        mode = best_mode(d1, d2, tol=tol)
+        ok = eq_semantic(d1, d2, mode)
+        return LinearEqResult(ok, None if ok else {}, 1, ok and isinstance(mode, Exact))
 
     rng = random.Random(seed)
-    from fractions import Fraction
-
     total = 8 ** len(names)
     if total <= 4096:
         combos = range(total)
     else:
         combos = sorted(rng.sample(range(total), 4096))
-    checked = 0
-    for combo in combos:
-        val, rest = {}, combo
-        for v in names:
-            val[v] = Fraction(rest % 8, 4)
-            rest //= 8
-        s1, s2 = d1.substitute(val), d2.substitute(val)
-        checked += 1
-        if not eq_semantic(s1, s2, best_mode(s1, s2, tol=tol)):
-            return LinearEqResult(False, dict(val), checked)
+    exact = _constants_exact(d1) and _constants_exact(d2)
+    m1, m2 = (_laurent_interp(d, names, exact) for d in (d1, d2))
+    zero = Laurent({})
+    diff = [m1.get(k, zero) - m2.get(k, zero) for k in m1.keys() | m2.keys()]
+    diff = [e for e in diff if not e.is_zero()]
+    proved = exact and not diff
+
+    # In exact mode the grid is decided at once: the 8-point DFT over
+    # Z[1/2][omega] is invertible, so the difference vanishes on the whole
+    # grid exactly when it is zero mod z_v^8 - 1; the scan only finds the
+    # first witness.
+    grid = [e for e in (e.mod_z8() for e in diff) if not e.is_zero()] if exact else diff
+    if grid:
+        for checked, combo in enumerate(combos, 1):
+            rs = [combo // 8**i % 8 for i in range(len(names))]
+            if not all(_negligible(e.at_omega(rs), tol) for e in grid):
+                return LinearEqResult(False, {v: Fraction(r, 4) for v, r in zip(names, rs)}, checked)
+    checked = len(combos)
     for _ in range(samples):
         val = {v: rng.uniform(0.0, 2.0 * cmath.pi) for v in names}
         checked += 1
-        if not eq_semantic(d1.substitute(val), d2.substitute(val), Float(tol)):
+        thetas = [val[v] for v in names]
+        if not all(abs(e.at_angles(thetas)) <= tol for e in diff):
             return LinearEqResult(False, dict(val), checked)
-    return LinearEqResult(True, None, checked)
+    return LinearEqResult(True, None, checked, proved)
+
+
+def _negligible(x, tol: float) -> bool:
+    return x.is_zero() if isinstance(x, Cyclo) else abs(x) <= tol
+
+
+def _laurent_interp(d: Diagram, names: list, exact: bool) -> dict:
+    """`d` interpreted over Laurent polynomials in z_v = e^{iv}, one
+    exponent slot per name: a map from (row, col) to nonzero entries."""
+    slot = {v: i for i, v in enumerate(names)}
+    base = (0,) * len(names)
+    one = Laurent({base: Cyclo(1) if exact else 1 + 0j})
+
+    def entries(g: Gen) -> dict:
+        if g.kind != Z or g.phase.is_constant:
+            return {k: Laurent({base: v}) for k, v in _gen_entries(g, exact).items()}
+        exps = list(base)
+        for v, n in g.phase.terms:
+            exps[slot[v]] = n
+        top = Laurent({tuple(exps): _phase_factor(Phase(g.phase.const), exact)})
+        ent: dict = {}
+        _accum(ent, (0,) * g.arity, one)
+        _accum(ent, (1,) * g.arity, top)
+        return ent
+
+    return _contract_diagram(d, entries, one)

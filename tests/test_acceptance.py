@@ -211,8 +211,8 @@ def test_criterion_8_proof_scripts():
         assert bad.failures[0]["step"] == fail_step, (name, bad.failures)
 
 
-def test_criterion_9_linear_diagrams():
-    """eq_linear separates ten true variable-phase laws from ten false ones."""
+def criterion_9_pairs():
+    """Ten true variable-phase laws and ten false ones."""
     a = Phase.var("a")
     b = Phase.var("b")
     neg_a = Phase.var("a", -1)
@@ -243,6 +243,12 @@ def test_criterion_9_linear_diagrams():
         (x(1, 1, a), x(1, 1, a + 1)),
         (z(2, 1, a), x(2, 1, a)),
     ]
+    return identities, refuted
+
+
+def test_criterion_9_linear_diagrams():
+    """eq_linear separates ten true variable-phase laws from ten false ones."""
+    identities, refuted = criterion_9_pairs()
     for d1, d2 in identities:
         res = eq_linear(d1, d2, samples=30, seed=7, tol=TOL)
         assert res.equal, (d1, d2)

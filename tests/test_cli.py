@@ -83,6 +83,40 @@ def test_eq_with_variables_reports_witness(tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
 
 
+def test_eq_with_variables_says_when_proved(tmp_path, capsys):
+    fam1 = write(tmp_path, "f1.zx", "(Z 1 1 a)\n")
+    fam2 = write(tmp_path, "f2.zx", "(seq (Z 1 1 a) (Z 1 1 0))\n")
+    approx = write(tmp_path, "f4.zx", "(seq (Z 1 1 a) (Z 1 1 0.0))\n")
+    assert main(["eq", fam1, fam2, "--samples", "20", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == "equal on 28 valuations (proved for every phase)\n"
+    assert main(["eq", fam1, approx, "--samples", "20", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == "equal on 28 valuations\n"
+
+
+WIDE = "(ten (Z 1 1 {}) (Z 1 1) (Z 1 1) (Z 1 1) (Z 1 1) (Z 1 1) (Z 1 1))\n"  # 7 -> 7: coordinate form
+
+
+def test_eval_wide_diagram(tmp_path, capsys):
+    f = write(tmp_path, "wide.zx", WIDE.format("pi/4"))
+    assert main(["eval", f]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "7 -> 7  [exact]" and len(lines) == 1 + 128
+    assert lines[1].split()[:2] == ["1", "0"] and lines[-1].split()[-1] == "1w"
+    assert main(["eval", f, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == payload["cols"] == 128
+    assert payload["matrix"][127][127]["w"] == [[0, 0], [1, 0], [0, 0], [0, 0]]
+
+
+def test_eq_wide_diagrams_reports_difference(tmp_path, capsys):
+    a = write(tmp_path, "a.zx", WIDE.format("pi/4"))
+    b = write(tmp_path, "b.zx", WIDE.format("pi/2"))
+    assert main(["eq", a, b]) == 1
+    assert capsys.readouterr().out == "not equal (max entry difference 0.765)\n"
+    assert main(["eq", a, a]) == 0
+    capsys.readouterr()
+
+
 def test_translate_and_roundtrip(tmp_path, capsys):
     f = write(tmp_path, "s.zx", S_GATE)
     assert main(["translate", "--to", "zw", f]) == 0

@@ -12,6 +12,7 @@ from zxzw.rings import (
     SQRT2,
     Cyclo,
     Dyadic,
+    Laurent,
     omega_float,
 )
 
@@ -138,3 +139,34 @@ def test_omega_float():
         assert cmath.isclose(
             omega_float(k), cmath.exp(1j * k * math.pi / 4), abs_tol=1e-12
         )
+
+
+def laurents():
+    """Laurent polynomials in two variables with small exponents."""
+    mono = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    return st.dictionaries(mono, cyclos(), max_size=4).map(Laurent)
+
+
+@given(laurents(), laurents(), st.tuples(st.integers(0, 7), st.integers(0, 7)))
+def test_laurent_ring_laws_at_grid_points(p, q, rs):
+    assert (p * q).at_omega(rs) == p.at_omega(rs) * q.at_omega(rs)
+    assert (p - q).at_omega(rs) == p.at_omega(rs) - q.at_omega(rs)
+    assert (p * SQRT2).at_omega(rs) == (SQRT2 * p).at_omega(rs) == p.at_omega(rs) * SQRT2
+    assert p.mod_z8().at_omega(rs) == p.at_omega(rs)
+    theta = [r * math.pi / 4 for r in rs]
+    value = p.at_omega(rs)  # the int 0 for the zero polynomial
+    value = as_complex(value) if isinstance(value, Cyclo) else value
+    assert cmath.isclose(p.at_angles(theta), value, abs_tol=1e-9)
+
+
+@given(laurents())
+def test_laurent_zero_on_grid_iff_zero_mod_z8(p):
+    on_grid = all(p.at_omega((r, s)) == 0 for r in range(8) for s in range(8))
+    assert on_grid == p.mod_z8().is_zero()
+    assert (p - p).is_zero() and (p - p) == 0 and (p == 0) == p.is_zero()
+
+
+def test_laurent_off_by_z8_vanishes_on_grid_only():
+    p = Laurent({(8, 0): ONE}) - Laurent({(0, 0): ONE})  # z^8 - 1
+    assert not p.is_zero() and p.mod_z8().is_zero()
+    assert abs(p.at_angles([0.3, 0.0])) > 0.1

@@ -1,5 +1,6 @@
 """Rule databases: instantiation, variants, soundness, mutation controls."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -121,3 +122,13 @@ def test_no_pass_on_zero_instances():
     rep = ru.verify_rule(ru.RULE_K, budget=0)
     assert rep.instances == 0
     assert rep.status == "FAIL"
+
+
+@pytest.mark.parametrize("rule, budget", [(ru.RULE_S, 4096), (ru.RULE_H, 48), (ru.RULE_H, 71)])
+def test_bindings_above_budget_are_distinct_grid_points(rule, budget):
+    grid = dict(rule.grid)
+    assert len(grid) and math.prod(len(v) for v in grid.values()) > budget
+    bindings = ru._bindings_for(rule, budget, 0, random.Random(3))
+    assert len(bindings) == budget
+    assert len({tuple(sorted(b.items())) for b in bindings}) == budget
+    assert all(b.keys() == grid.keys() and all(b[k] in grid[k] for k in b) for b in bindings)

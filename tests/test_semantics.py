@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_diagram, shuffled_copy
+from test_acceptance import criterion_9_pairs
 from zxzw import diagrams as dg
-from zxzw.diagrams import ArityMismatch, Diagram, flip, iso_equal, rotate_cross_ports, seq, ten
+from zxzw.diagrams import ArityMismatch, Diagram, Gen, flip, iso_equal, rotate_cross_ports, seq, ten
 from zxzw.matrices import Matrix, SparseMatrix
 from zxzw.phases import Phase
+from zxzw.rewrite import simplify
 from zxzw.rings import INV_SQRT2, Cyclo
 from zxzw.semantics import (
     EXACT,
@@ -281,6 +283,119 @@ def test_eq_linear_respects_integer_coefficients():
     res = eq_linear(dg.z(0, 1, Phase.var("a", 2)), dg.z(0, 1, Phase.var("a")), samples=5, seed=1)
     assert not res
     assert res.witness is not None
+
+
+def _eq_linear_by_substitution(d1, d2, samples=100, seed=None, tol=1e-9):
+    """Reference: substitute every valuation and compare the matrices."""
+    names = sorted(d1.free_variables() | d2.free_variables())
+    rng = random.Random(seed)
+    total = 8 ** len(names)
+    if total <= 4096:
+        combos = range(total)
+    else:
+        combos = sorted(rng.sample(range(total), 4096))
+    checked = 0
+    for combo in combos:
+        val, rest = {}, combo
+        for v in names:
+            val[v] = Fraction(rest % 8, 4)
+            rest //= 8
+        s1, s2 = d1.substitute(val), d2.substitute(val)
+        checked += 1
+        if not eq_semantic(s1, s2, best_mode(s1, s2, tol=tol)):
+            return LinearEqResult(False, dict(val), checked)
+    for _ in range(samples):
+        val = {v: rng.uniform(0.0, 2.0 * cmath.pi) for v in names}
+        checked += 1
+        if not eq_semantic(d1.substitute(val), d2.substitute(val), Float(tol)):
+            return LinearEqResult(False, dict(val), checked)
+    return LinearEqResult(True, None, checked)
+
+
+def _linear_diagram(rng, names, float_const, n_in=None, n_out=None):
+    """A random zx diagram whose first phased node mentions every name and
+    the others a random subset, with coefficients in {+-1, 2, 3}; a float
+    constant on the first phased node when `float_const`."""
+    while True:
+        d = random_diagram(rng, n_in, n_out, tag="zx")
+        phased = [i for i, g in enumerate(d.nodes) if g.kind in ("Z", "X")]
+        if phased:
+            break
+    nodes = list(d.nodes)
+    for i in phased:
+        g = nodes[i]
+        p = Phase.radians(rng.uniform(0.0, 6.0)) if float_const and i == phased[0] else g.phase
+        for v in names if i == phased[0] else rng.sample(names, rng.randrange(len(names) + 1)):
+            p = p + Phase.var(v, rng.choice((1, -1, 2, 3)))
+        nodes[i] = Gen(g.kind, g.n_in, g.n_out, p)
+    return Diagram(d.tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
+
+
+def _shifted(d, v, k):
+    """`d` with k*v added to the phase of its first phased node."""
+    nodes = list(d.nodes)
+    i = next(i for i, g in enumerate(nodes) if g.kind in ("Z", "X"))
+    g = nodes[i]
+    nodes[i] = Gen(g.kind, g.n_in, g.n_out, g.phase + Phase.var(v, k))
+    return Diagram(d.tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
+
+
+# (seed, variables, float constant, other side): a random diagram of the
+# same shape, or d off by k*v for k = 4 (refuted on the grid at an odd v)
+# or k = 8 (equal on the whole grid, refuted by the samples).  Each seed is
+# the first from the one before at which the other side is refuted as its
+# kind says and simplify(d) has fewer nodes (below 4 variables).  The
+# 5-variable cases subsample the grid.
+_LINEAR_CASES = [(1, 1, False, 8), (5, 2, False, 4), (8, 3, True, 8), (9, 5, False, 4),
+                 (12, 1, True, "random"), (22, 2, False, 8), (26, 3, False, 4),
+                 (27, 4, False, "random"), (28, 5, True, "random"), (47, 2, True, 4)]
+
+
+@pytest.mark.parametrize("seed, nvars, float_const, other", _LINEAR_CASES)
+def test_eq_linear_matches_substitution(seed, nvars, float_const, other):
+    rng = random.Random(seed)
+    names = ["a", "b", "c", "d", "e"][:nvars]
+    d = _linear_diagram(rng, names, float_const)
+    if other == "random":
+        other = _linear_diagram(rng, names, float_const, d.n_in, d.n_out)
+    else:
+        other = _shifted(d, rng.choice(names), other)
+    for d2 in (simplify(d)[0], other):
+        got = eq_linear(d, d2, samples=10, seed=seed)
+        want = _eq_linear_by_substitution(d, d2, samples=10, seed=seed)
+        if float_const:
+            assert got.equal == want.equal
+        else:
+            assert (got.equal, got.witness, got.valuations_checked) == (
+                want.equal,
+                want.witness,
+                want.valuations_checked,
+            )
+        assert not got.proved or (got.equal and not float_const)
+    # (d, d) passes every valuation, which the reference needs no run to say
+    got = eq_linear(d, d, samples=10, seed=seed)
+    assert (got.equal, got.witness, got.valuations_checked) == (True, None, min(8**nvars, 4096) + 10)
+    assert got.proved is not float_const
+
+
+def test_eq_linear_proves_the_criterion_9_laws():
+    identities, refuted = criterion_9_pairs()
+    for d1, d2 in identities:
+        assert eq_linear(d1, d2, samples=5, seed=0).proved, (d1, d2)
+    for d1, d2 in refuted:
+        assert not eq_linear(d1, d2, samples=5, seed=0).proved
+
+
+def test_eq_linear_off_by_8v_is_refuted_not_proved():
+    a = Phase.var("a")
+    lhs = seq(dg.z(1, 1, a), dg.z(1, 1, a))
+    rhs = dg.z(1, 1, Phase.var("a", 10))
+    res = eq_linear(lhs, rhs, samples=30, seed=0)
+    assert not res.equal and not res.proved
+    assert res.valuations_checked > 8  # equal on the whole grid
+    assert res.witness is not None and not isinstance(res.witness["a"], Fraction)
+    grid_only = eq_linear(lhs, rhs, samples=0, seed=0)
+    assert grid_only.equal and not grid_only.proved
 
 
 def test_exact_and_float_interp_disagreement_caught():
