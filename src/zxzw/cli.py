@@ -1,8 +1,9 @@
 """Command-line front end: evaluate, compare, verify, translate, simplify.
 
 Exit codes: 0 for success (equal / PASS), 1 for a negative verdict (unequal /
-FAIL), 2 for usage or input errors.  The only environment variable honoured
-is ZXZW_SEED, the default seed for every sampled check.
+FAIL) or for output cut short by a closed pipe, 2 for usage or input errors.
+The only environment variable honoured is ZXZW_SEED, the default seed for
+every sampled check.
 """
 
 from __future__ import annotations
@@ -280,7 +281,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head`): point stdout at
+        # devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -11,11 +11,14 @@ vector but |1> to one of norm sqrt(2)), and that norm asymmetry is exactly
 what the w nodes need.  The addition node [[1,0,0,0],[0,1,1,0]] cannot be
 written as spider-merge of dressed wires at all: its kernel contains a
 single product state, while any dressed merge kernel contains two.
+
+The parameter-free fragments are built once and shared: `Diagram` and
+`Gen` are immutable, so handing the same object to every caller is safe.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -29,6 +32,7 @@ def wire() -> Diagram:
     return Diagram.identity(1)
 
 
+@functools.cache
 def sqrt2() -> Diagram:
     """Scalar sqrt(2): a phaseless z state plugged into a phaseless x costate."""
     return dg.seq(dg.z(0, 1, 0), dg.x(1, 0, 0))
@@ -64,6 +68,7 @@ def loop_h2(a: PhaseLike, b: PhaseLike) -> Diagram:
     return trace1(dg.seq(dg.z(1, 1, a), dg.h(), dg.z(1, 1, b), dg.h()))
 
 
+@functools.cache
 def half_scalar() -> Diagram:
     # (2 + sqrt2)(2 - sqrt2) / 4 = 1/2, and each factor is a single h loop
     return loop_h2(Fraction(1, 4), Fraction(3, 4)).tensor(
@@ -71,6 +76,7 @@ def half_scalar() -> Diagram:
     )
 
 
+@functools.cache
 def inv_sqrt2() -> Diagram:
     return half_scalar().tensor(sqrt2())
 
@@ -90,6 +96,7 @@ def unit_scalar(j: int, k: int) -> Diagram:
     return out
 
 
+@functools.cache
 def cnot() -> Diagram:
     """Controlled not, control on wire 0: copy the control, merge the target."""
     body = dg.seq(
@@ -99,20 +106,24 @@ def cnot() -> Diagram:
     return body.tensor(sqrt2())
 
 
+@functools.cache
 def cnot_down() -> Diagram:
     """Controlled not, control on wire 1."""
     return dg.seq(Diagram.swap(), cnot(), Diagram.swap())
 
 
+@functools.cache
 def cz() -> Diagram:
     return dg.seq(dg.ten(wire(), dg.h()), cnot(), dg.ten(wire(), dg.h()))
 
 
+@functools.cache
 def crossing() -> Diagram:
     """The braiding of the w calculus, built as cz followed by a swap."""
     return dg.seq(cz(), Diagram.swap())
 
 
+@functools.cache
 def triangle() -> Diagram:
     """The 1->1 map [[1,1],[0,1]] from plain pi/4 spiders.
 
@@ -143,6 +154,7 @@ def triangle() -> Diagram:
     )
 
 
+@functools.cache
 def w_add() -> Diagram:
     """The 2->1 addition node [[1,0,0,0],[0,1,1,0]].
 
@@ -158,16 +170,19 @@ def w_add() -> Diagram:
     )
 
 
+@functools.cache
 def w_split() -> Diagram:
     """The 1->2 node sending |0> to |00> and |1> to |01> + |10>."""
     return dg.flip(w_add())
 
 
+@functools.cache
 def w21_zx() -> Diagram:
     """The 2->1 w node [[0,1,1,0],[1,0,0,0]] in pi/4 spiders."""
     return dg.seq(w_add(), dg.x(1, 1, 1))
 
 
+@functools.cache
 def w12_zx() -> Diagram:
     """The 1->2 w node [[0,1],[1,0],[1,0],[0,0]] in pi/4 spiders."""
     return dg.flip(w21_zx())
@@ -195,25 +210,44 @@ def tan_state(a: PhaseLike) -> Diagram:
     )
 
 
+@functools.cache
 def zero_state() -> Diagram:
     """State (1, 0)."""
     return dg.ten(dg.x(0, 1, 0), half_scalar(), sqrt2())
 
 
+@functools.cache
 def half_state() -> Diagram:
     """State (1, 1/2): add two ones, swap the components, halve."""
     two = dg.seq(dg.ten(dg.z(0, 1, 0), dg.z(0, 1, 0)), w_add())
     return dg.seq(two, dg.x(1, 1, 1)).tensor(half_scalar())
 
 
+@functools.cache
+def _two_state() -> Diagram:
+    """State (1, 2): the flipped triangle [[1,0],[1,1]] adds one to (1, 1)."""
+    return dg.seq(dg.z(0, 1, 0), dg.flip(triangle()))
+
+
 def int_state(n: int) -> Diagram:
-    """State (1, n) for an integer n."""
+    """State (1, n) for an integer n, in O(log |n|) nodes.
+
+    Horner's rule over the binary digits of |n|: each further digit doubles
+    the state by a z merge with (1, 2), and a 1 digit then adds the sign
+    unit (1, +-1) with `w_add`.  The leading value 1, 2 or 3 is a unary sum
+    of units, which is smaller than its Horner form.
+    """
     if n == 0:
         return zero_state()
     unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
+    digits = bin(abs(n))[2:]
     out = unit
-    for _ in range(abs(n) - 1):
+    for _ in range(int(digits[:2], 2) - 1):
         out = dg.seq(dg.ten(out, unit), w_add())
+    for digit in digits[2:]:
+        out = dg.seq(dg.ten(out, _two_state()), dg.z(2, 1, 0))
+        if digit == "1":
+            out = dg.seq(dg.ten(out, unit), w_add())
     return out
 
 
@@ -256,4 +290,4 @@ def complex_scalar(value: complex) -> Diagram:
     mag = abs(value)
     k = max(0, math.ceil(math.log2(mag)) - 1)
     b = 2.0 * math.acos(min(1.0, mag / 2 ** (k + 1)))
-    return dg.ten(dot(b), circles(k), unit_phase(cmath.phase(value) - b / 2.0))
+    return dg.ten(dot(b), circles(k), unit_phase(math.atan2(value.imag, value.real) - b / 2.0))

@@ -147,23 +147,25 @@ class Matrix:
 
 class SparseMatrix:
     """Coordinate-list matrix for boundary sizes where dense storage would
-    not fit (beyond 64x64); only nonzero entries are kept."""
+    not fit (beyond 64x64); only nonzero entries are kept, and `zero` (the
+    scalar ring's zero: Cyclo(0) or 0j) stands for every other entry."""
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("entries", "rows", "cols", "zero")
 
-    def __init__(self, entries: dict, rows: int, cols: int):
+    def __init__(self, entries: dict, rows: int, cols: int, zero):
         self.entries = {
             k: v for k, v in entries.items() if not is_zero(v)
         }
         self.rows = rows
         self.cols = cols
+        self.zero = zero
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def __getitem__(self, idx):
-        return self.entries.get(idx, 0)
+        return self.entries.get(idx, self.zero)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -186,8 +188,7 @@ class SparseMatrix:
         )
 
     def to_dense(self) -> Matrix:
-        zero = Cyclo(0) if any(isinstance(v, Cyclo) for v in self.entries.values()) else 0j
-        data = [[zero] * self.cols for _ in range(self.rows)]
+        data = [[self.zero] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             data[i][j] = v
         return Matrix(data)

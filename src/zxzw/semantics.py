@@ -247,9 +247,9 @@ def interp(d: Diagram, mode: InterpMode = EXACT):
     one = Cyclo(1) if exact else 1 + 0j
     coords = _contract_diagram(d, lambda g: _gen_entries(g, exact), one)
     m, n = d.n_out, d.n_in
-    if m + n > _DENSE_LIMIT_BITS:
-        return SparseMatrix(coords, 1 << m, 1 << n)
     zero = Cyclo(0) if exact else 0j
+    if m + n > _DENSE_LIMIT_BITS:
+        return SparseMatrix(coords, 1 << m, 1 << n, zero)
     data = [[zero] * (1 << n) for _ in range(1 << m)]
     for (r, c), v in coords.items():
         data[r][c] = v

@@ -14,6 +14,7 @@ scalar included.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,11 +44,13 @@ def zw_triangle(r) -> Diagram:
     )
 
 
+@functools.cache
 def _zero_costate_zw() -> Diagram:
     # |0> = W11 . W21 . cap, flipped
     return dg.flip(dg.seq(Diagram.cap(), dg.w21(), dg.w11()))
 
 
+@functools.cache
 def _had_zw() -> Diagram:
     """A zw fragment with interpretation sqrt(2) * H = [[1,1],[1,-1]].
 
@@ -134,7 +137,7 @@ class ParamEncoding:
 
 def encode_param(r: complex) -> ParamEncoding:
     r = complex(r)
-    rho, theta = abs(r), cmath.phase(r)
+    rho, theta = abs(r), math.atan2(r.imag, r.real)
     n = max(0, math.ceil(math.log2(rho))) if rho > 0 else 0
     while 2**n < rho:  # guard the ceil against float dust
         n += 1

@@ -117,6 +117,30 @@ def test_eq_wide_diagrams_reports_difference(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_json_of_wide_zero_matrix_stays_exact(tmp_path, capsys):
+    f = write(tmp_path, "zero.zx", "(ten (Z 0 0 pi) id id id id id id id)\n")
+    assert main(["eval", f, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mode"] == "exact" and payload["rows"] == 128
+    assert all(e["w"] == [[0, 0]] * 4 for row in payload["matrix"] for e in row)
+
+
+def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
+    f = write(tmp_path, "wide.zx", WIDE.format("pi/4"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zxzw.cli", "eval", "--json", f],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # the JSON is megabytes long, far more than a pipe buffers
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_translate_and_roundtrip(tmp_path, capsys):
     f = write(tmp_path, "s.zx", S_GATE)
     assert main(["translate", "--to", "zw", f]) == 0

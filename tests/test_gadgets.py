@@ -4,7 +4,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zxzw import diagrams as dg
@@ -133,6 +133,35 @@ def test_zero_and_int_states():
     assert interp(gad.int_state(-2), EXACT) == Matrix([[1], [-2]])
 
 
+def test_int_state_values():
+    for n in range(-64, 65):
+        assert interp(gad.int_state(n), EXACT) == Matrix([[1], [n]]), n
+
+
+def test_int_state_size_is_logarithmic():
+    # never more nodes than |n| units summed by |n| - 1 w_adds (0 is zero_state)
+    w_add = len(gad.w_add().nodes)
+    for n in range(-64, 65):
+        if n:
+            unary = abs(n) + (abs(n) - 1) * w_add
+            assert len(gad.int_state(n).nodes) <= unary, n
+    # 5 = 2 doubled plus 1: the most one binary digit after the first two costs
+    per_digit = len(gad.int_state(5).nodes) - len(gad.int_state(2).nodes)
+    for n in (10**6, -(2**40) - 1, 3**50):
+        bound = len(gad.int_state(3).nodes) + per_digit * (abs(n).bit_length() - 2)
+        assert len(gad.int_state(n).nodes) <= bound, n
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sqrt2", "half_scalar", "inv_sqrt2", "cnot", "cnot_down", "cz", "crossing", "triangle",
+     "w_add", "w_split", "w21_zx", "w12_zx", "zero_state", "half_state"],
+)
+def test_parameter_free_fragments_are_built_once(name):
+    build = getattr(gad, name)
+    assert build() is build()
+
+
 def test_half_state():
     assert interp(gad.half_state(), EXACT) == Matrix.column(
         [Cyclo(1), Cyclo(1, 0, 0, 0, 1)]
@@ -170,6 +199,7 @@ def test_tan_state_float():
 
 @given(st.complex_numbers(max_magnitude=9.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=40, deadline=None)
+@example(2 + 5e-324j)  # its phase underflows: cmath.phase raises on it
 def test_complex_scalar(value):
     got = interp(gad.complex_scalar(value), FLOAT)
     assert abs(got[0, 0] - complex(value)) < 1e-9

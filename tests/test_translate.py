@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_diagram
@@ -34,6 +34,7 @@ def test_encode_param_examples():
 
 @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=64.0))
 @settings(max_examples=100, deadline=None)
+@example(2 + 5e-324j)  # its phase underflows: cmath.phase raises on it
 def test_encode_param_reconstructs(r):
     enc = tr.encode_param(r)
     assert abs(enc.rho - abs(r)) < 1e-12
@@ -165,6 +166,18 @@ def test_zw_to_zx_functorial(seed):
     lhs = tr.zw_to_zx(a.then(b))
     rhs = tr.zw_to_zx(a).then(tr.zw_to_zx(b))
     assert dg.iso_equal(lhs, rhs)
+
+
+def test_large_integer_white_node_translates_compactly():
+    d = dg.white(1, 1, 1000)
+    out = tr.zw_to_zx(d)
+    assert len(out.nodes) < 1000
+    assert eq_semantic(d, out, EXACT)
+
+
+def test_hadamard_fragment_is_built_once():
+    assert tr._had_zw() is tr._had_zw()
+    assert tr._zero_costate_zw() is tr._zero_costate_zw()
 
 
 def test_zw_to_zx_rejects_zx_input():
