@@ -18,7 +18,7 @@ from . import rules
 from . import translate as tr
 from .diagrams import Diagram, DiagramError, MissingVariable
 from .dsl import DslError, parse, print_diagram
-from .matrices import Matrix, SparseMatrix
+from .matrices import Matrix
 from .rings import Cyclo
 from .semantics import EXACT, Exact, Float, best_mode, eq_linear, eq_semantic, exact_eligible, interp
 
@@ -46,12 +46,22 @@ def _load(path: str) -> Diagram:
         raise InputError(f"{path}: {e}") from None
 
 
+def _dyadic(num: int, exp: int) -> list:
+    """num / 2^exp in lowest terms: an odd numerator, or 0 over 2^0."""
+    if num == 0:
+        return [0, 0]
+    while num % 2 == 0 and exp > 0:
+        num //= 2
+        exp -= 1
+    return [num, exp]
+
+
 def _entry_json(v, exact: bool):
     if isinstance(v, Cyclo):
         z = v.to_complex()
         out = {"re": z.real, "im": z.imag}
         if exact:
-            out["w"] = [[dy.num, dy.exp] for dy in (v.c0, v.c1, v.c2, v.c3)]
+            out["w"] = [_dyadic(c, v.e) for c in (v.a, v.b, v.c, v.d)]
         return out
     z = complex(v)
     return {"re": z.real, "im": z.imag}
@@ -64,7 +74,7 @@ def matrix_json(d: Diagram, m: Matrix, exact: bool) -> dict:
         "mode": "exact" if exact else "float",
         "rows": m.rows,
         "cols": m.cols,
-        "matrix": [[_entry_json(v, exact) for v in row] for row in m.data],
+        "matrix": [[_entry_json(v, exact) for v in row] for row in m.to_rows()],
     }
 
 
@@ -76,10 +86,6 @@ def _entry_text(v) -> str:
         return f"{z.real:.10g}"
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real:.10g}{sign}{abs(z.imag):.10g}i"
-
-
-def _dense(m) -> Matrix:
-    return m.to_dense() if isinstance(m, SparseMatrix) else m
 
 
 def _pick_mode(args, *ds, tol: float = 1e-9):
@@ -103,7 +109,7 @@ def _cmd_eval(args) -> int:
         )
     mode = _pick_mode(args, d)
     try:
-        m = _dense(interp(d, mode))
+        m = interp(d, mode)
     except MissingVariable as e:
         raise InputError(str(e)) from None
     exact = isinstance(mode, Exact)
@@ -111,7 +117,7 @@ def _cmd_eval(args) -> int:
         print(json.dumps(matrix_json(d, m, exact), indent=2))
     else:
         print(f"{d.n_in} -> {d.n_out}  [{'exact' if exact else 'float'}]")
-        for row in m.data:
+        for row in m.to_rows():
             print("  ".join(_entry_text(v) for v in row))
     return 0
 
@@ -134,7 +140,7 @@ def _cmd_eq(args) -> int:
     if eq_semantic(d1, d2, mode):
         print("equal")
         return 0
-    diff = _dense(interp(d1, mode)).max_abs_diff(_dense(interp(d2, mode)))
+    diff = interp(d1, mode).max_abs_diff(interp(d2, mode))
     print(f"not equal (max entry difference {diff:.3g})")
     return 1
 

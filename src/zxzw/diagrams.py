@@ -88,7 +88,7 @@ def _coerce_param(p) -> Param:
             return complex(p)
         num, den = p.numerator, p.denominator
         return Cyclo(num, 0, 0, 0, den.bit_length() - 1)
-    if isinstance(p, float) and p == int(p):
+    if isinstance(p, float) and p.is_integer():
         return Cyclo(int(p))
     return complex(p)
 

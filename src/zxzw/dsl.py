@@ -20,6 +20,7 @@ printing is stable (printing a reparsed print is the identity on text).
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -145,10 +146,14 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
             continue
         if body[0].isdigit() or body[0] == ".":
             try:
-                total = total + Phase.radians(sign * float(body))
-                continue
+                radians = float(body)
             except ValueError:
-                pass
+                radians = None
+            if radians is not None:
+                if not math.isfinite(radians):
+                    raise DslError(f"non-finite number {chunk!r} in {text!r}", line, col)
+                total = total + Phase.radians(sign * radians)
+                continue
         m = _VAR_TERM.fullmatch(body)
         if m and m.group(2) != "pi":
             coef = sign * (int(m.group(1)) if m.group(1) else 1)
@@ -199,17 +204,21 @@ def parse_param(text: str, line: int = 1, col: int = 1):
         if not arg.is_constant:
             raise DslError(f"polar angle must be constant in {text!r}", line, col)
         theta = arg.to_float()
-        return complex(rho * math.cos(theta), rho * math.sin(theta))
-    if text[-1] in "iI":
-        return _parse_complex(text, line, col)
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise DslError(f"bad parameter {text!r}", line, col) from None
+        value = complex(rho * math.cos(theta), rho * math.sin(theta))
+    elif text[-1] in "iI":
+        value = _parse_complex(text, line, col)
+    else:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            value = float(text)
+        except ValueError:
+            raise DslError(f"bad parameter {text!r}", line, col) from None
+    if not cmath.isfinite(value):
+        raise DslError(f"non-finite number {text!r}", line, col)
+    return value
 
 
 # -- parser ---------------------------------------------------------------------

@@ -259,7 +259,7 @@ def ring_state(r) -> Diagram:
     z-merging with copies of (1, 1/2) (the z merge multiplies second
     components).
     """
-    r = r if isinstance(r, Cyclo) else Cyclo.from_int(int(r))
+    r = r if isinstance(r, Cyclo) else Cyclo(int(r))
     parts = []
     for k, c in enumerate((r.a, r.b, r.c, r.d)):
         if c == 0:

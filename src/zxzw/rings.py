@@ -1,4 +1,4 @@
-"""Exact arithmetic in the dyadic rationals and in Z[1/2][omega], omega = e^{i pi/4}.
+"""Exact arithmetic in Z[1/2][omega], omega = e^{i pi/4}.
 
 Every scalar produced by interpreting a diagram whose phases are multiples of
 pi/4 lives in the ring D[omega] = Z[1/2][omega] with omega^4 = -1.  The classes
@@ -16,96 +16,6 @@ import cmath
 import math
 
 _OMEGA = cmath.exp(1j * math.pi / 4)
-
-
-class Dyadic:
-    """A dyadic rational num / 2^exp, normalized so num is odd or zero."""
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        self.num = num
-        self.exp = exp
-
-    @staticmethod
-    def from_int(n: int) -> "Dyadic":
-        return Dyadic(n, 0)
-
-    def __add__(self, other):
-        other = _as_dyadic(other)
-        if other is NotImplemented:
-            return NotImplemented
-        e = max(self.exp, other.exp)
-        return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __sub__(self, other):
-        other = _as_dyadic(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_dyadic(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_dyadic(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _as_dyadic(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.exp == other.exp
-
-    def __hash__(self):
-        return hash(("Dyadic", self.num, self.exp))
-
-    def __lt__(self, other):
-        other = _as_dyadic(other)
-        e = max(self.exp, other.exp)
-        return (self.num << (e - self.exp)) < (other.num << (e - other.exp))
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def to_float(self) -> float:
-        if abs(self.num) < 2**52:
-            return math.ldexp(self.num, -self.exp)
-        return self.num / (2**self.exp)
-
-    def __repr__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/2^{self.exp}"
-
-
-def _as_dyadic(x):
-    if isinstance(x, Dyadic):
-        return x
-    if isinstance(x, int):
-        return Dyadic(x, 0)
-    return NotImplemented
 
 
 class Cyclo:
@@ -135,14 +45,6 @@ class Cyclo:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_int(n: int) -> "Cyclo":
-        return Cyclo(n)
-
-    @staticmethod
-    def from_dyadic(x: Dyadic) -> "Cyclo":
-        return Cyclo(x.num, 0, 0, 0, x.exp)
-
-    @staticmethod
     def omega_power(k: int) -> "Cyclo":
         """omega^k for any integer k (omega^8 = 1)."""
         k %= 8
@@ -150,24 +52,6 @@ class Cyclo:
         coef = [0, 0, 0, 0]
         coef[k % 4] = sign
         return Cyclo(*coef)
-
-    # -- spec-shaped component access ---------------------------------
-
-    @property
-    def c0(self) -> Dyadic:
-        return Dyadic(self.a, self.e)
-
-    @property
-    def c1(self) -> Dyadic:
-        return Dyadic(self.b, self.e)
-
-    @property
-    def c2(self) -> Dyadic:
-        return Dyadic(self.c, self.e)
-
-    @property
-    def c3(self) -> Dyadic:
-        return Dyadic(self.d, self.e)
 
     # -- ring operations ----------------------------------------------
 
@@ -308,17 +192,11 @@ def _as_cyclo(x):
         return x
     if isinstance(x, int):
         return Cyclo(x)
-    if isinstance(x, Dyadic):
-        return Cyclo.from_dyadic(x)
     return NotImplemented
 
 
-ZERO = Cyclo(0)
 ONE = Cyclo(1)
-TWO = Cyclo(2)
 HALF = Cyclo(1, 0, 0, 0, 1)
-OMEGA = Cyclo.omega_power(1)
-I_UNIT = Cyclo.omega_power(2)
 SQRT2 = Cyclo(0, 1, 0, -1)  # omega - omega^3
 INV_SQRT2 = Cyclo(0, 1, 0, -1, 1)  # (omega - omega^3) / 2
 

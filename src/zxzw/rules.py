@@ -38,7 +38,8 @@ GRID8 = tuple(F(k, 4) for k in range(8))
 
 
 class RuleError(ValueError):
-    """A binding fell outside a rule's domain, or a build went wrong."""
+    """A binding fell outside a rule's domain, a build went wrong, or a
+    verification budget was negative."""
 
 
 @dataclass(frozen=True)
@@ -729,8 +730,6 @@ def _json_value(v):
 
 
 def _json_matrix(m) -> list:
-    if hasattr(m, "to_dense"):
-        m = m.to_dense()
     rows, cols = m.shape
     if rows * cols > 256:
         return [[f"({rows}x{cols} matrix elided)"]]
@@ -776,6 +775,8 @@ def verify_rule(
     max_failures: int = 3,
 ) -> RuleReport:
     """Check one rule over its grid or sampled bindings, plus all variants."""
+    if budget < 0 or samples < 0:
+        raise RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = _bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)

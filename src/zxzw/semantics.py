@@ -10,7 +10,8 @@ The interpreter contracts sparse generator tensors along the edge list,
 eliminating at each step the pair of tensors whose merge leaves the fewest
 open wires.  Red spiders are not given their own tensor: a pre-pass rewrites
 each one into a green spider with a Hadamard on every leg, which is their
-definition.
+definition.  The result is a `matrices.Matrix` for every boundary size: the
+nonzero entries that the contraction leaves, keyed by (row, column).
 
 The same contraction runs over Laurent polynomials in z_v = e^{iv} for
 diagrams whose phases carry variables, so `eq_linear` interprets each side
@@ -27,11 +28,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, Z, ArityMismatch, Diagram, Gen, red_to_green
-from .matrices import Matrix, SparseMatrix
+from .matrices import Matrix
 from .phases import Phase
 from .rings import INV_SQRT2, Cyclo, Laurent, is_zero
-
-_DENSE_LIMIT_BITS = 12  # beyond 2^6 x 2^6, fall back to coordinate form
 
 
 class SemanticsError(Exception):
@@ -239,21 +238,14 @@ def _contract_all(tensors):
     return out
 
 
-def interp(d: Diagram, mode: InterpMode = EXACT):
+def interp(d: Diagram, mode: InterpMode = EXACT) -> Matrix:
     """The matrix denoted by `d`: 2^{n_out} x 2^{n_in}, exact or float."""
     if d.free_variables():
         raise SemanticsError(f"free phase variables {sorted(d.free_variables())}")
     exact = isinstance(mode, Exact)
     one = Cyclo(1) if exact else 1 + 0j
     coords = _contract_diagram(d, lambda g: _gen_entries(g, exact), one)
-    m, n = d.n_out, d.n_in
-    zero = Cyclo(0) if exact else 0j
-    if m + n > _DENSE_LIMIT_BITS:
-        return SparseMatrix(coords, 1 << m, 1 << n, zero)
-    data = [[zero] * (1 << n) for _ in range(1 << m)]
-    for (r, c), v in coords.items():
-        data[r][c] = v
-    return Matrix(data)
+    return Matrix(coords, 1 << d.n_out, 1 << d.n_in, Cyclo(0) if exact else 0j)
 
 
 def _contract_diagram(d: Diagram, gen_entries, one) -> dict:

@@ -1,10 +1,15 @@
-"""Shared test utilities: random diagram generation."""
+"""Shared test utilities: random diagram generation, and matrices as
+numpy arrays for the oracles that compare against them."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from zxzw.diagrams import Diagram, Gen
+from zxzw.matrices import Matrix
 from zxzw.phases import Phase
+from zxzw.rings import Cyclo
 
 _FIXED = {"H": (1, 1), "W11": (1, 1), "W12": (1, 2), "CROSS": (2, 2), "HALF": (0, 0)}
 
@@ -60,3 +65,18 @@ def shuffled_copy(d: Diagram, rng: random.Random) -> Diagram:
 
     edges = [tuple(map(lift, e)) for e in d.edges]
     return Diagram(d.tag, nodes, edges, d.n_in, d.n_out, d.loops)
+
+
+def as_array(m) -> np.ndarray:
+    """A `Matrix` as a complex ndarray, every entry filled in."""
+    return np.array(
+        [[x.to_complex() if isinstance(x, Cyclo) else complex(x) for x in row] for row in m.to_rows()],
+        dtype=complex,
+    )
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a @ b, exact for exact entries: numpy multiplies the
+    object arrays of the entries with their own + and *."""
+    product = np.array(a.to_rows(), dtype=object) @ np.array(b.to_rows(), dtype=object)
+    return Matrix.from_rows(product.tolist(), a.zero)

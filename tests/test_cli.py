@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from helpers import random_diagram
+from zxzw import cli
 from zxzw.cli import main
 from zxzw.diagrams import iso_equal
 from zxzw.dsl import parse, print_diagram
+from zxzw.rings import Cyclo
 from zxzw.semantics import eq_semantic
 
 S_GATE = "(seq (Z 1 1 pi/4) (Z 1 1 pi/4))\n"
@@ -141,6 +143,53 @@ def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
     assert err == b""
 
 
+@pytest.mark.parametrize("command", [["eval"], ["translate", "--to", "zx"]])
+@pytest.mark.parametrize("text", ["(wz 1 1 1e400)", "(wz 1 1 nan)", "(Z 1 1 1e400)"])
+def test_non_finite_literal_is_an_input_error(tmp_path, command, text):
+    f = write(tmp_path, "inf.zw", text + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zxzw.cli", *command, f],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "non-finite" in proc.stderr
+
+
+_NO_NUMPY = "import sys; sys.modules['numpy'] = None; from zxzw.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_cli_runs_with_numpy_blocked(tmp_path):
+    wide = write(tmp_path, "wide.zx", WIDE.format("pi/4"))
+    a = write(tmp_path, "a.zx", S_GATE)
+    c = write(tmp_path, "c.zx", "(Z 1 1 pi/4)\n")
+    for args, code in [
+        (["eval", "--json", wide], 0),
+        (["eq", a, c], 1),
+        (["verify-axioms", "--set", "zx-pi2", "--budget", "8", "--samples", "2"], 0),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *args], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (code, ""), args
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zxzw.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def test_eval_json_normalises_each_coordinate():
+    # (1 + 2w + 3w2 + 4w3) / 4: each coordinate in lowest terms on its own
+    entry = cli._entry_json(Cyclo(1, 2, 3, 4, 2), exact=True)
+    assert entry["w"] == [[1, 2], [1, 1], [3, 2], [1, 0]]
+    assert cli._entry_json(Cyclo(0, 0, 6, 0, 1), exact=True)["w"] == [[0, 0], [0, 0], [3, 0], [0, 0]]
+
+
 def test_translate_and_roundtrip(tmp_path, capsys):
     f = write(tmp_path, "s.zx", S_GATE)
     assert main(["translate", "--to", "zw", f]) == 0
@@ -211,6 +260,14 @@ def test_verify_axioms_fails_on_zero_instances(capsys):
     out = capsys.readouterr().out
     assert "    K      0 instances  FAIL" in out
     assert "FAILURES" in out
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--samples"])
+def test_verify_axioms_negative_budget_is_an_input_error(flag, capsys):
+    assert main(["verify-axioms", "--set", "zx-t", "--budget", "8", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_verify_axioms_json_is_stable(capsys):

@@ -31,7 +31,7 @@ def test_word_atoms():
 
 def test_spider_chain_is_s_gate():
     d = parse("(seq (Z 1 1 pi/4) (Z 1 1 pi/4))")
-    assert interp(d, EXACT) == Matrix([[1, 0], [0, Cyclo.omega_power(2)]])
+    assert interp(d, EXACT) == Matrix.from_rows([[1, 0], [0, Cyclo.omega_power(2)]])
 
 
 def test_tensor_of_identities():
@@ -98,6 +98,25 @@ def test_errors_carry_positions(text, line, col):
         parse(text)
     assert err.value.line == line
     assert err.value.col == col
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("(wz 1 1 1e400)", 9),
+        ("(wz 1 1 nan)", 9),
+        ("(wz 1 1 -inf)", 9),
+        ("(wz 1 1 1e400i)", 9),
+        ("(Z 1 1 1e400)", 8),
+        ("(Z 1 1 pi/4-1e400)", 8),
+    ],
+)
+def test_non_finite_numbers_rejected_with_position(text, col):
+    # not an OverflowError from the parameter, nor the variable "e400"
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "non-finite" in str(err.value)
 
 
 def test_comments_and_whitespace():

@@ -25,7 +25,7 @@ def test_fusion_adds_phases():
     fused = rw.apply(rw.FUSION, d, (0, 1))
     assert len(fused.nodes) == 1
     assert fused.nodes[0].phase == F(1, 2)
-    assert interp(fused, EXACT) == Matrix([[1, 0], [0, Cyclo.omega_power(2)]])
+    assert interp(fused, EXACT) == Matrix.from_rows([[1, 0], [0, Cyclo.omega_power(2)]])
 
 
 def test_fusion_eats_parallel_wires():

@@ -36,7 +36,7 @@ def test_unknown_set_errors():
 def test_fusion_example_is_pi_rotation():
     binding = {"alpha": F(1, 2), "beta": F(1, 2), "n1": 1, "m1": 0, "k": 1, "n2": 0, "m2": 1}
     lhs, rhs = ru.instantiate(ru.RULE_S, binding)
-    want = Matrix([[1, 0], [0, -1]])
+    want = Matrix.from_rows([[1, 0], [0, -1]])
     assert interp(lhs, EXACT) == want
     assert interp(rhs, EXACT) == want
 
