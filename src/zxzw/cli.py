@@ -23,6 +23,11 @@ from .rings import Cyclo
 from .semantics import EXACT, Exact, Float, best_mode, eq_linear, eq_semantic, exact_eligible, interp
 
 
+# `eval` prints all 2^(inputs + outputs) entries of a matrix, so it refuses
+# diagrams with more boundary wires than this
+MAX_EVAL_WIRES = 16
+
+
 class InputError(Exception):
     """Bad file, bad syntax, or an ineligible request: exit code 2."""
 
@@ -34,14 +39,19 @@ def _default_seed() -> int:
         return 0
 
 
-def _load(path: str) -> Diagram:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte {e.start})") from None
+
+
+def _load(path: str) -> Diagram:
     try:
-        return parse(text)
+        return parse(_read(path))
     except (DslError, DiagramError) as e:
         raise InputError(f"{path}: {e}") from None
 
@@ -103,6 +113,9 @@ def _pick_mode(args, *ds, tol: float = 1e-9):
 
 def _cmd_eval(args) -> int:
     d = _load(args.file)
+    if d.n_in + d.n_out > MAX_EVAL_WIRES:
+        raise InputError(f"{args.file}: eval takes at most {MAX_EVAL_WIRES} boundary wires, "
+                         f"not {d.n_in + d.n_out}")
     if d.free_variables():
         raise InputError(
             f"{args.file}: cannot evaluate with free variables {sorted(d.free_variables())}"
@@ -186,11 +199,9 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
+    text = _read(args.file)
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            script = rewrite.parse_proof(fh.read())
-    except OSError as e:
-        raise InputError(f"cannot read {args.file}: {e.strerror or e}") from None
+        script = rewrite.parse_proof(text)
     except rewrite.ProofError as e:
         raise InputError(str(e)) from None
     try:

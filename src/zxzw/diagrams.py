@@ -502,11 +502,6 @@ def graft(d: Diagram, replace, tag: Optional[str]) -> Diagram:
 # -- module-level operations ------------------------------------------------
 
 
-def compose(d2: Diagram, d1: Diagram) -> Diagram:
-    """Sequential composition d2 after d1 (d1 runs first)."""
-    return d1.then(d2)
-
-
 def flip(d: Diagram) -> Diagram:
     """Mirror the diagram upside-down: inputs become outputs and vice versa.
 
@@ -739,16 +734,6 @@ def w21() -> Diagram:
 
 def white(n: int, m: int, param) -> Diagram:
     return Diagram.generator(Gen(WZ, n, m, None, param))
-
-
-def white_not() -> Diagram:
-    """The fixed 1->1 white node, the r=-1 white spider diag(1,-1)."""
-    return white(1, 1, -1)
-
-
-def white_cz() -> Diagram:
-    """The fixed 2->1 white node, the r=-1 white spider [[1,0,0,0],[0,0,0,-1]]."""
-    return white(2, 1, -1)
 
 
 def zw_cross() -> Diagram:

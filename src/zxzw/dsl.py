@@ -2,7 +2,8 @@
 
 Atoms name single generators and wire pieces (``id``, ``swap``, ``cup``,
 ``cap``, ``H``, ``half``, ``(Z n m PHASE)``, ``(X n m PHASE)``, ``(W 1 2)``,
-``(wz n m PARAM)``, ``(zw-cross)``, ``(tri PARAM)``); the two combinators
+``(wz n m PARAM)``, ``(zw-cross)``, ``(tri PARAM)``, and ``(perm k0 k1 ...)``,
+the wire crossing that sends input i to output k_i); the two combinators
 ``(seq d1 d2 ...)`` and ``(ten d1 d2 ...)`` compose and juxtapose.  ``;``
 starts a comment that runs to the end of the line.
 
@@ -24,6 +25,7 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .diagrams import (
@@ -35,6 +37,7 @@ from .diagrams import (
     WZ,
     ArityMismatch,
     Diagram,
+    DiagramError,
     Gen,
     h,
     half,
@@ -139,6 +142,8 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
         if m:
             k = int(m.group(1)) if m.group(1) else 1
             q = int(m.group(2)) if m.group(2) else 1
+            if q == 0:
+                raise DslError(f"zero denominator in {text!r}", line, col)
             total = total + Phase.exact_pi(Fraction(sign * k, q))
             continue
         if body.isdigit():
@@ -242,15 +247,10 @@ class _Parser:
         self.toks = toks
         self.pos = 0
 
-    def _eof_pos(self):
-        if self.toks:
-            last = self.toks[-1]
-            return last.line, last.col + len(last.text)
-        return 1, 1
-
     def take(self) -> _Tok:
         if self.pos >= len(self.toks):
-            raise DslError("unexpected end of input", *self._eof_pos())
+            last = self.toks[-1]
+            raise DslError("unexpected end of input", last.line, last.col + len(last.text))
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
@@ -273,22 +273,40 @@ class _Parser:
         return int(tok.text)
 
     def expr(self) -> Diagram:
-        tok = self.take()
-        if tok.text == ")":
-            raise DslError("unexpected ')'", tok.line, tok.col)
-        if tok.text == "(":
-            head = self.take()
-            if head.text in ("(", ")"):
-                raise DslError(f"expected a form name, got {head.text!r}", head.line, head.col)
-            return self.form(tok, head)
-        if tok.text in _WORDS:
-            return _WORDS[tok.text]()
-        raise DslError(f"unknown atom {tok.text!r}", tok.line, tok.col)
+        """Read one diagram in a single loop over the tokens.  Open seq/ten
+        forms wait on an explicit stack, so nesting depth is bounded only
+        by memory; every other form is flat and is read where it opens."""
+        stack = []  # open combinators: (opener, name, [(child, its first token)])
+        while True:
+            start = self.peek()
+            if stack and start is None:
+                raise DslError("unclosed '('", stack[-1][0].line, stack[-1][0].col)
+            if stack and start.text == ")":
+                self.pos += 1
+                opener, name, children = stack.pop()
+                d, start = _combine(opener, name, children), opener
+            else:
+                tok = self.take()
+                if tok.text == ")":
+                    raise DslError("unexpected ')'", tok.line, tok.col)
+                if tok.text == "(":
+                    head = self.take()
+                    if head.text in ("seq", "ten"):
+                        stack.append((tok, head.text, []))
+                        continue
+                    d = self.form(tok, head)
+                elif tok.text in _WORDS:
+                    d = _WORDS[tok.text]()
+                else:
+                    raise DslError(f"unknown atom {tok.text!r}", tok.line, tok.col)
+            if not stack:
+                return d
+            stack[-1][2].append((d, start))
 
     def form(self, opener: _Tok, head: _Tok) -> Diagram:
         name = head.text
-        if name in ("seq", "ten"):
-            return self.combinator(opener, name)
+        if name in ("(", ")"):
+            raise DslError(f"expected a form name, got {name!r}", head.line, head.col)
         if name in ("Z", "X"):
             n = self.int_arg("an input count")
             m = self.int_arg("an output count")
@@ -335,27 +353,28 @@ class _Parser:
         if name == "zw-cross":
             self.expect_close(opener)
             return zw_cross()
+        if name == "perm":
+            targets = []
+            while (tok := self.peek()) is not None and tok.text != ")":
+                targets.append(self.int_arg("a wire index"))
+            self.expect_close(opener)
+            try:
+                return Diagram.permutation(targets)
+            except DiagramError as e:
+                raise DslError(str(e), head.line, head.col) from None
         raise DslError(f"unknown form {name!r}", head.line, head.col)
 
-    def combinator(self, opener: _Tok, name: str) -> Diagram:
-        children = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise DslError("unclosed '('", opener.line, opener.col)
-            if tok.text == ")":
-                self.pos += 1
-                break
-            children.append((self.expr(), tok))
-        if not children:
-            raise DslError(f"{name} needs at least one diagram", opener.line, opener.col)
-        ds = [d for d, _ in children]
-        try:
-            return seq(*ds) if name == "seq" else ten(*ds)
-        except ArityMismatch as e:
-            # point at the first child whose inputs do not fit
-            tok = next(t for (a, _), (b, t) in zip(children, children[1:]) if a.n_out != b.n_in)
-            raise DslError(str(e), tok.line, tok.col) from None
+
+def _combine(opener: _Tok, name: str, children: list) -> Diagram:
+    if not children:
+        raise DslError(f"{name} needs at least one diagram", opener.line, opener.col)
+    ds = [d for d, _ in children]
+    try:
+        return seq(*ds) if name == "seq" else ten(*ds)
+    except ArityMismatch as e:
+        # point at the first child whose inputs do not fit
+        tok = next(t for (a, _), (b, t) in zip(children, children[1:]) if a.n_out != b.n_in)
+        raise DslError(str(e), tok.line, tok.col) from None
 
 
 def parse(src: str) -> Diagram:
@@ -375,29 +394,20 @@ def parse(src: str) -> Diagram:
 #
 # Diagrams print in a fixed layered shape
 #
-#     (seq  [id x n_in | caps]  [swaps]  [nodes | id x t]  [swaps]  [id x n_out | cups])
+#     (seq  [id x n_in | caps]  [perm]  [nodes | id x t]  [perm]  [id x n_out | cups])
 #
 # built in one pass over the (canonically sorted) edge list: every edge is
 # routed with caps, cups and passthrough wires so that each generator is used
-# in its forward orientation, and the two permutations are emitted as
-# bubble-sorted layers of adjacent swaps.  Stages that come out as identities
-# are dropped, and closed loops append `(seq cap cup)` tensor factors.
+# in its forward orientation, and each of the two permutations is one
+# `(perm ...)` word, so the text is linear in the size of the diagram.
+# Stages that come out as identities are dropped, and closed loops append
+# `(seq cap cup)` tensor factors.
 
 
-def _ten_text(items: list[str]) -> str:
+def _form_text(name: str, items: list[str]) -> str:
     if len(items) == 1:
         return items[0]
-    return "(ten " + " ".join(items) + ")"
-
-
-def _seq_text(items: list[str]) -> str:
-    if len(items) == 1:
-        return items[0]
-    return "(seq " + " ".join(items) + ")"
-
-
-def _float_text(v: float) -> str:
-    return repr(float(v))
+    return f"({name} " + " ".join(items) + ")"
 
 
 def _param_text(p) -> str:
@@ -407,9 +417,9 @@ def _param_text(p) -> str:
         return f"cyclo:{p.a},{p.b},{p.c},{p.d},{p.e}"
     c = complex(p)
     if c.imag == 0:
-        return _float_text(c.real)
+        return repr(c.real)
     sign = "+" if c.imag >= 0 else "-"
-    return f"{_float_text(c.real)}{sign}{_float_text(abs(c.imag))}i"
+    return f"{c.real!r}{sign}{abs(c.imag)!r}i"
 
 
 def _atom_text(g: Gen) -> str:
@@ -432,28 +442,18 @@ def _atom_text(g: Gen) -> str:
     raise ValueError(f"cannot print generator kind {g.kind!r}")
 
 
-def _swap_layers(perm: list[int], width: int) -> list[str]:
-    cur = list(perm)
-    layers = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cur) - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                layers.append(_ten_text(["id"] * i + ["swap"] + ["id"] * (width - i - 2)))
-                changed = True
-    return layers
+def _perm_stage(perm: list[int]) -> list[str]:
+    """The `(perm ...)` word of a wire permutation; nothing for the identity."""
+    if perm == list(range(len(perm))):
+        return []
+    return ["(perm " + " ".join(map(str, perm)) + ")"]
 
 
 def _print_body(d: Diagram) -> str:
     nodes = d.nodes
-    ins = [g.n_in for g in nodes]
-    outs = [g.n_out for g in nodes]
-    off_in = [sum(ins[:i]) for i in range(len(nodes))]
-    off_out = [sum(outs[:i]) for i in range(len(nodes))]
-    base_pt = sum(ins)
-    out_base_pt = sum(outs)
+    off_in = list(accumulate((g.n_in for g in nodes), initial=0))
+    off_out = list(accumulate((g.n_out for g in nodes), initial=0))
+    base_pt, out_base_pt = off_in[-1], off_out[-1]
 
     def classify(end):
         if end[0] == "i":
@@ -535,16 +535,16 @@ def _print_body(d: Diagram) -> str:
 
     stages = []
     if caps:
-        stages.append(_ten_text(["id"] * d.n_in + ["cap"] * caps))
-    stages += _swap_layers(perm1, w_in)
+        stages.append(_form_text("ten", ["id"] * d.n_in + ["cap"] * caps))
+    stages += _perm_stage(perm1)
     if nodes:
-        stages.append(_ten_text([_atom_text(g) for g in nodes] + ["id"] * pt))
-    stages += _swap_layers(perm2, w_out)
+        stages.append(_form_text("ten", [_atom_text(g) for g in nodes] + ["id"] * pt))
+    stages += _perm_stage(perm2)
     if cups:
-        stages.append(_ten_text(["id"] * d.n_out + ["cup"] * cups))
+        stages.append(_form_text("ten", ["id"] * d.n_out + ["cup"] * cups))
     if not stages:
-        return "empty" if d.n_in == 0 else _ten_text(["id"] * d.n_in)
-    return _seq_text(stages)
+        return "empty" if d.n_in == 0 else _form_text("ten", ["id"] * d.n_in)
+    return _form_text("seq", stages)
 
 
 def print_diagram(d: Diagram) -> str:
@@ -554,4 +554,4 @@ def print_diagram(d: Diagram) -> str:
         return body
     parts = [] if body == "empty" else [body]
     parts += ["(seq cap cup)"] * d.loops
-    return _ten_text(parts)
+    return _form_text("ten", parts)

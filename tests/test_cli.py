@@ -2,6 +2,7 @@
 
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -156,6 +157,50 @@ def test_non_finite_literal_is_an_input_error(tmp_path, command, text):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "non-finite" in proc.stderr
+
+
+def _limit_memory():
+    # a regression to building every row of a 2^40-row matrix ends in a
+    # MemoryError here, not in filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (["eval"], b"(Z 1 1 pi/0)\n", "zero denominator"),
+        (["eval"], b"\xff\xfe(\x00Z\x00", "not UTF-8"),
+        (["check-proof"], b"\xff\xfeproof\n", "not UTF-8"),
+        (["eval"], b"(Z 0 40 0)\n", "at most 16 boundary wires"),
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, command, content, message):
+    f = tmp_path / "bad.zx"
+    f.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zxzw.cli", *command, str(f)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+def test_eval_at_the_wire_limit(tmp_path, capsys):
+    f = write(tmp_path, "wide.zx", "(Z 0 16 0)\n")
+    assert main(["eval", f]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0 -> 16  [exact]" and len(lines) == 1 + 2**16
+    assert lines[1] == lines[-1] == "1" and set(lines[2:-1]) == {"0"}
+
+
+def test_eval_of_deep_nesting(tmp_path, capsys):
+    f = write(tmp_path, "deep.zx", "(seq " * 3_000 + "id" + ")" * 3_000 + "\n")
+    assert main(["eval", f]) == 0
+    assert capsys.readouterr().out == "1 -> 1  [exact]\n1  0\n0  1\n"
 
 
 _NO_NUMPY = "import sys; sys.modules['numpy'] = None; from zxzw.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -14,7 +14,6 @@ from zxzw.diagrams import (
     Gen,
     MissingVariable,
     color_swap,
-    compose,
     flip,
     graft,
     iso_equal,
@@ -80,14 +79,14 @@ def test_compose_shapes_and_errors():
 
 
 def test_compose_argument_order():
-    # compose(d2, d1) applies d1 first
-    d = compose(dg.x(2, 1), dg.z(1, 2))
+    # seq(d1, d2) applies d1 first
+    d = seq(dg.z(1, 2), dg.x(2, 1))
     assert d.nodes[0].kind == "Z" and d.nodes[1].kind == "X"
     assert d.shape == (1, 1)
 
 
 def test_cup_after_cap_is_closed_loop():
-    loop = compose(Diagram.cup(), Diagram.cap())
+    loop = seq(Diagram.cap(), Diagram.cup())
     assert loop.shape == (0, 0)
     assert loop.nodes == ()
     assert loop.loops == 1

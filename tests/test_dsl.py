@@ -91,6 +91,10 @@ def test_phase_grammar():
         ("(wz 1 1 cyclo:1,2)", 1, 9),
         ("(seq H\n     cup)", 2, 6),
         ("(seq id id\n  (Z 1 2) id)", 2, 11),
+        ("(Z 1 1 pi/0)", 1, 8),
+        ("(perm 0 0)", 1, 2),
+        ("(perm 1 x)", 1, 9),
+        ("(perm 0 2)", 1, 2),
     ],
 )
 def test_errors_carry_positions(text, line, col):
@@ -149,15 +153,33 @@ def test_print_loops_and_scalars():
 def test_print_layers_a_composite():
     d = seq(z(1, 1, F(1, 2)), x(1, 1, 0))
     text = print_diagram(d)
-    assert text == "(seq (ten id cap) (ten (Z 1 1 pi/2) (X 1 1 0) id) (ten swap id) (ten id cup))"
+    assert text == "(seq (ten id cap) (ten (Z 1 1 pi/2) (X 1 1 0) id) (perm 1 0 2) (ten id cup))"
     assert iso_equal(parse(text), d)
 
 
-def test_print_permutation_as_swap_network():
+def test_print_permutation_as_perm_word():
     d = Diagram.permutation([2, 0, 1])
     text = print_diagram(d)
+    assert text == "(perm 2 0 1)"
     assert parse(text) == d
-    assert "Z" not in text and "cap" not in text
+
+
+def test_perm_word_parses_to_a_permutation():
+    assert parse("(perm 2 0 1)") == Diagram.permutation([2, 0, 1])
+    assert parse("(perm 1 0)") == Diagram.swap()
+    assert parse("(perm 0)") == Diagram.identity(1)
+
+
+def test_printed_chain_grows_linearly():
+    d = seq(*[z(1, 1, F(1, 4))] * 400)
+    text = print_diagram(d)
+    assert len(text.encode()) < 20_000
+    assert iso_equal(parse(text), d)
+
+
+@pytest.mark.parametrize("depth", [3_000, 100_000])
+def test_deep_nesting_parses(depth):
+    assert parse("(seq " * depth + "id" + ")" * depth) == Diagram.identity(1)
 
 
 @settings(max_examples=120, deadline=None)

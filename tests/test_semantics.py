@@ -94,8 +94,8 @@ def test_zw_generator_matrices():
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
     )
     assert interp(dg.half()) == M([[Cyclo(1, 0, 0, 0, 1)]])
-    assert interp(dg.white_not()) == M([[1, 0], [0, -1]])
-    assert interp(dg.white_cz()) == M([[1, 0, 0, 0], [0, 0, 0, -1]])
+    assert interp(dg.white(1, 1, -1)) == M([[1, 0], [0, -1]])
+    assert interp(dg.white(2, 1, -1)) == M([[1, 0, 0, 0], [0, 0, 0, -1]])
     assert interp(dg.white(1, 2, Cyclo(2))) == M([[1, 0], [0, 0], [0, 0], [0, 2]])
 
 
