@@ -20,7 +20,7 @@ from .diagrams import Diagram, DiagramError, MissingVariable
 from .dsl import DslError, parse, print_diagram
 from .matrices import Matrix
 from .rings import Cyclo
-from .semantics import EXACT, Exact, Float, best_mode, eq_linear, eq_semantic, exact_eligible, interp
+from .semantics import EXACT, ArgumentError, Exact, Float, best_mode, eq_linear, eq_semantic, exact_eligible, interp
 
 
 # `eval` prints all 2^(inputs + outputs) entries of a matrix, so it refuses
@@ -99,6 +99,7 @@ def _entry_text(v) -> str:
 
 
 def _pick_mode(args, *ds, tol: float = 1e-9):
+    approx = Float(tol)  # refuses a meaningless tolerance whichever mode is picked
     if getattr(args, "exact", False):
         for d in ds:
             if not exact_eligible(d):
@@ -107,7 +108,7 @@ def _pick_mode(args, *ds, tol: float = 1e-9):
                 )
         return EXACT
     if getattr(args, "float", False):
-        return Float(tol)
+        return approx
     return best_mode(*ds, tol=tol)
 
 
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DslError, DiagramError) as e:
+    except (DslError, DiagramError, ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

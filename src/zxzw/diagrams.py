@@ -18,10 +18,12 @@ Every endpoint of a validated diagram is used by exactly one edge end; a
 self-loop uses two distinct ports of the same node.
 
 Every composite is built by one splice: `seq` and `ten` take any number
-of parts, and `graft` puts a fragment in place of each node.  The splice
-concatenates the parts' nodes in order, joins the wires that meet at a
-shared boundary (so composing `cup` after `cap` really produces a closed
-circle), and sorts and validates the result once.
+of parts, and `replace_nodes` puts fragments in place of groups of nodes.
+`graft` (node by node, for the translations) and every rewrite schema are
+calls to `replace_nodes`.  The splice concatenates the parts' nodes in
+order, joins the wires that meet at a shared boundary (so composing `cup`
+after `cap` really produces a closed circle), and sorts and validates the
+result once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .phases import Phase, PhaseLike
 from .rings import Cyclo
@@ -319,61 +321,33 @@ class Diagram:
 
 
 def _splice_junctions(raw_edges):
-    """Resolve ("j", k) junction endpoints, returning (edges, closed_loops).
+    """Resolve ("j", ...) junction endpoints, returning (edges, closed_loops).
 
-    Each junction is incident to exactly two edge ends; chains of junctions
+    Each junction is incident to exactly two edge ends.  Taking junctions
+    out one at a time joins their two wires, so chains of junctions
     collapse to single wires and junction-only cycles become closed loops.
     """
-    E = [tuple(e) for e in raw_edges]
-    jadj: dict = {}
-    for eid, e in enumerate(E):
-        for end in e:
-            if end[0] == "j":
-                jadj.setdefault(end, []).append(eid)
-
-    def other_end(eid, end):
-        a, b = E[eid]
-        return b if a == end else a
-
     edges = []
-    consumed = [False] * len(E)
-    for eid, (a, b) in enumerate(E):
+    nbr: dict = {}  # junction -> the ends of its two wires
+    for a, b in raw_edges:
+        if a[0] == "j":
+            nbr.setdefault(a, []).append(b)
+        if b[0] == "j":
+            nbr.setdefault(b, []).append(a)
         if a[0] != "j" and b[0] != "j":
-            consumed[eid] = True
             edges.append((a, b))
-
-    # walk each junction chain once, starting from a non-junction terminal
-    for eid0, (a, b) in enumerate(E):
-        if consumed[eid0] or (a[0] == "j" and b[0] == "j"):
-            continue
-        start, j = (a, b) if b[0] == "j" else (b, a)
-        consumed[eid0] = True
-        cur = eid0
-        while True:
-            e1, e2 = jadj[j]
-            nxt = e2 if e1 == cur else e1
-            consumed[nxt] = True
-            end = other_end(nxt, j)
-            if end[0] != "j":
-                edges.append((start, end))
-                break
-            j, cur = end, nxt
-
-    # whatever remains is junction-only cycles
     loops = 0
-    for eid0, (a, b) in enumerate(E):
-        if consumed[eid0]:
+    while nbr:
+        j, (x, y) = nbr.popitem()
+        if x == j:  # both wires of j are one closed wire
+            loops += 1
             continue
-        loops += 1
-        consumed[eid0] = True
-        j, cur = b, eid0
-        while True:
-            e1, e2 = jadj[j]
-            nxt = e2 if e1 == cur else e1
-            if consumed[nxt]:
-                break
-            consumed[nxt] = True
-            j, cur = other_end(nxt, j), nxt
+        for u, v in ((x, y), (y, x)):
+            if u[0] == "j":
+                ends = nbr[u]
+                ends[ends.index(j)] = v
+        if x[0] != "j" and y[0] != "j":
+            edges.append((x, y))
     return edges, loops
 
 
@@ -459,12 +433,66 @@ def ten(*ds: Diagram) -> Diagram:
     return _splice(tag, parts, n_in, n_out)
 
 
+def replace_nodes(d: Diagram, groups, cut=(), tag: Optional[str] = None) -> Diagram:
+    """Rebuild `d`, tagged `tag` (`d.tag` if None), with groups of nodes
+    replaced by fragments, in one splice.
+
+    Each group is (nodes, fragment, ports).  Its nodes are removed, and the
+    fragment's nodes take the place of the lowest of them.  The fragment's
+    k-th boundary (inputs first, then outputs) takes over the wire at the
+    removed port `ports[k]`, so wires through the fragment join up and
+    closed ones become loops.  The wires of `d` listed in `cut` are deleted.
+    Every port of a removed node must be in `ports` or at an end of a cut
+    wire, exactly once.
+    """
+    owner: dict[int, int] = {}
+    for k, (nodes, frag, ports) in enumerate(groups):
+        if frag.n_in + frag.n_out != len(ports):
+            raise ArityMismatch(f"fragment is {frag.n_in}->{frag.n_out}, given {len(ports)} ports")
+        if not nodes:
+            raise DiagramError("a fragment needs nodes to replace")
+        for i in nodes:
+            if not 0 <= i < len(d.nodes) or owner.setdefault(i, k) != k:
+                raise DiagramError(f"node {i} is not a node of exactly one group")
+    expected = {("n", i, p) for i in owner for p in range(d.nodes[i].arity)}
+    claimed = [end for _, _, ports in groups for end in ports] + [end for e in cut for end in e]
+    if len(claimed) != len(expected) or set(claimed) != expected:
+        seen = Counter(claimed)
+        stray = sorted(expected - seen.keys()) or [e for e, c in seen.items() if c > 1 or e not in expected]
+        raise DiagramError(f"port {stray[0]!r} is not exactly one fragment port or cut wire end")
+    frags = {min(nodes): (frag, ports) for nodes, frag, ports in groups}
+    parts = []
+    new: dict[int, int] = {}
+    count = 0
+    for i, g in enumerate(d.nodes):
+        if i in frags:
+            frag, ports = frags[i]
+            ends = [("j", *end[1:]) for end in ports]
+            parts.append((frag, ends[: frag.n_in], ends[frag.n_in :]))
+            count += len(frag.nodes)
+        elif i not in owner:
+            new[i] = count
+            parts.append(g)
+            count += 1
+
+    def lift(end):
+        if end[0] != "n":
+            return end
+        return ("j", *end[1:]) if end[1] in owner else ("n", new[end[1]], end[2])
+
+    cut = set(cut)
+    wiring = [(lift(a), lift(b)) for a, b in d.edges if (a, b) not in cut]
+    if len(wiring) != len(d.edges) - len(cut):
+        raise DiagramError("a cut wire is not a wire of the diagram")
+    return _splice(d.tag if tag is None else tag, parts, d.n_in, d.n_out, wiring, d.loops)
+
+
 def graft(d: Diagram, replace, tag: Optional[str]) -> Diagram:
     """Rebuild `d`, tagged `tag`, with each node passed through `replace`.
 
     `replace(gen)` returns None to keep the node, a `Gen` of the same arity
     to relabel it in place, or a diagram of the same shape whose boundaries
-    are spliced into the original wiring.
+    are spliced into the original wiring by `replace_nodes`.
     """
     reps = [replace(g) for g in d.nodes]
     for g, r in zip(d.nodes, reps):
@@ -476,27 +504,12 @@ def graft(d: Diagram, replace, tag: Optional[str]) -> Diagram:
     if not any(isinstance(r, Diagram) for r in reps):
         nodes = [g if r is None else r for g, r in zip(d.nodes, reps)]
         return Diagram(tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
-    parts = []
-    offs = []
-    count = 0
-    for i, (g, r) in enumerate(zip(d.nodes, reps)):
-        offs.append(count)
-        if isinstance(r, Diagram):
-            ports = [("j", i, p) for p in range(g.arity)]
-            parts.append((r, ports[: g.n_in], ports[g.n_in :]))
-            count += len(r.nodes)
-        else:
-            parts.append(g if r is None else r)
-            count += 1
-
-    def lift(end):
-        if end[0] != "n":
-            return end
-        _, i, p = end
-        return ("j", i, p) if isinstance(reps[i], Diagram) else ("n", offs[i], p)
-
-    wiring = [(lift(a), lift(b)) for a, b in d.edges]
-    return _splice(tag, parts, d.n_in, d.n_out, wiring, d.loops)
+    groups = [
+        ((i,), r if isinstance(r, Diagram) else Diagram.generator(r), [("n", i, p) for p in range(g.arity)])
+        for i, (g, r) in enumerate(zip(d.nodes, reps))
+        if r is not None
+    ]
+    return replace_nodes(d, groups, tag=tag)
 
 
 # -- module-level operations ------------------------------------------------
@@ -539,14 +552,13 @@ def color_swap(d: Diagram) -> Diagram:
     return graft(d, replace, d.tag)
 
 
-def red_to_green(d: Diagram, only: Optional[Container[int]] = None) -> Diagram:
+def red_to_green(d: Diagram) -> Diagram:
     """Replace each X spider by a Z spider with a Hadamard on every leg,
-    which is the X spider's definition; `only` limits this to those node
-    indices.
+    which is the X spider's definition.
 
     A single direct pass: each spider's Hadamards follow it in node order.
     """
-    red = [g.kind == X and (only is None or i in only) for i, g in enumerate(d.nodes)]
+    red = [g.kind == X for g in d.nodes]
     if not any(red):
         return d
     nodes: list[Gen] = []
@@ -622,8 +634,11 @@ def iso_equal(d1: Diagram, d2: Diagram) -> bool:
     for a, b in d2.edges:
         target[_norm_edge(d2, a, b)] += 1
 
+    by_sig: dict = {}
+    for j, s in enumerate(sig2):
+        by_sig.setdefault(s, []).append(j)
     n = len(d1.nodes)
-    cands = {i: [j for j in range(n) if sig2[j] == sig1[i]] for i in range(n)}
+    cands = [by_sig[s] for s in sig1]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     adj = [[] for _ in range(n)]  # node -> edges incident (by index in d1.edges)
     plain = []
@@ -658,40 +673,46 @@ def iso_equal(d1: Diagram, d2: Diagram) -> bool:
     def ready(end):
         return end[0] != "n" or end[1] in mapping
 
-    def attempt(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        i = order[idx]
-        g = d1.nodes[i]
-        rots = range(4) if g.kind == CROSS else (0,)
-        for j in cands[i]:
-            if taken[j]:
-                continue
-            for rot in rots:
-                mapping[i] = (j, rot)
-                taken[j] = True
-                added = []
-                ok = True
-                for e in adj[i]:
-                    a, b = e
-                    other = b if (a[0] == "n" and a[1] == i) else a
-                    if not ready(other) or not ready(a) or not ready(b):
-                        continue
-                    ne = tuple(sorted((norm1(a), norm1(b))))
-                    used[ne] += 1
-                    added.append(ne)
-                    if used[ne] > target[ne]:
-                        ok = False
-                        break
-                if ok and attempt(idx + 1):
-                    return True
-                for ne in added:
-                    used[ne] -= 1
-                taken[j] = False
-                del mapping[i]
-        return False
+    added: dict[int, list] = {}  # placed d1 node -> the wires it counted
 
-    return attempt(0)
+    def place(i, j, rot) -> bool:
+        """Map i to (j, rot) and count its wires to mapped nodes; False,
+        with nothing placed, if one of them is one too many."""
+        mapping[i] = (j, rot)
+        taken[j] = True
+        added[i] = []
+        for a, b in adj[i]:
+            if ready(a) and ready(b):
+                ne = tuple(sorted((norm1(a), norm1(b))))
+                used[ne] += 1
+                added[i].append(ne)
+                if used[ne] > target[ne]:
+                    unplace(i)
+                    return False
+        return True
+
+    def unplace(i):
+        for ne in added.pop(i):
+            used[ne] -= 1
+        taken[mapping.pop(i)[0]] = False
+
+    def choices(i):
+        rots = range(4) if d1.nodes[i].kind == CROSS else (0,)
+        return ((j, rot) for j in cands[i] for rot in rots)
+
+    # depth-first search with an explicit stack of (node, untried choices)
+    stack = [(order[0], choices(order[0]))] if n else []
+    while stack:
+        i, rest = stack[-1]
+        if i in mapping:
+            unplace(i)
+        if not any(not taken[j] and place(i, j, rot) for j, rot in rest):
+            stack.pop()
+        elif len(stack) == n:
+            return True
+        else:
+            stack.append((order[len(stack)], choices(order[len(stack)])))
+    return n == 0
 
 
 def _norm_edge(d: Diagram, a, b):

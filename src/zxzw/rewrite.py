@@ -3,7 +3,10 @@
 A schema packages a matcher (diagram -> candidate locations) with an applier
 (diagram, location -> rewritten diagram).  Appliers re-check their premise
 against the diagram they are given and raise `StaleLocation` when it no
-longer holds, so locations can be stored and replayed safely.
+longer holds, so locations can be stored and replayed safely.  Every
+applier is one node replacement: it removes the matched nodes and has
+`diagrams.replace_nodes` splice the other side of the rule in along their
+ports, which also closes wires that come full circle into loops.
 
 The default simplification strategy only uses node-count-decreasing schemas
 (spider fusion, identity removal, cancelling Hadamard pairs, folding scalar
@@ -24,11 +27,11 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from . import rules as _rules
-from .diagrams import Diagram, Gen, WZ, Z, X, H as H_KIND, red_to_green
+from .diagrams import Diagram, Gen, WZ, Z, X, H as H_KIND, red_to_green, replace_nodes, ten
 from .dsl import DslError, parse
 from .gadgets import half_scalar
 from .rings import Cyclo
-from .semantics import eq_linear, eq_semantic
+from .semantics import check_count, eq_linear, eq_semantic
 
 
 class StaleLocation(ValueError):
@@ -46,7 +49,6 @@ class Schema:
     name: str
     matcher: Callable[[Diagram], list]
     applier: Callable[[Diagram, Any], Diagram]
-    grows: bool = False  # True for schemas that may increase the node count
 
 
 def find(schema: Schema, d: Diagram) -> list:
@@ -61,7 +63,7 @@ def apply(schema: Schema, d: Diagram, loc) -> Diagram:
     return schema.applier(d, loc)
 
 
-# -- shared graph surgery helpers -------------------------------------------------
+# -- shared helpers ----------------------------------------------------------------
 
 
 def _pair_edges(d: Diagram):
@@ -86,34 +88,13 @@ def _check_node(d: Diagram, i: int, kinds) -> Gen:
     return g
 
 
-def _rebuild(d: Diagram, nodes, edges, extra_loops=0) -> Diagram:
-    return Diagram(d.tag, nodes, edges, d.n_in, d.n_out, d.loops + extra_loops)
-
-
-def _drop_nodes(d: Diagram, removed: set[int], edge_map, new_edges=(), extra_loops=0):
-    """Remove nodes, renumber the rest, and rewrite edges.
-
-    edge_map maps an old endpoint to a replacement endpoint (before
-    renumbering) or to None to delete the whole edge; new_edges are added
-    afterwards (in old numbering)."""
-    order = sorted(removed)
-
-    def shift(end):
-        if end[0] != "n":
-            return end
-        _, i, p = end
-        i -= sum(1 for r in order if r < i)
-        return ("n", i, p)
-
-    edges = []
-    for e in d.edges:
-        a, b = (edge_map.get(end, end) for end in e)
-        if a is None or b is None:
-            continue
-        edges.append((shift(a), shift(b)))
-    edges += [(shift(a), shift(b)) for a, b in new_edges]
-    nodes = [g for i, g in enumerate(d.nodes) if i not in removed]
-    return nodes, edges
+def _legs(d: Diagram, i: int, cut) -> tuple[list, list]:
+    """Node i's ports that are not ends of the `cut` wires: (inputs, outputs)."""
+    g = d.nodes[i]
+    ends = {end for e in cut for end in e}
+    keep = [("n", i, p) for p in range(g.arity) if ("n", i, p) not in ends]
+    ins = [end for end in keep if end[2] < g.n_in]
+    return ins, keep[len(ins) :]
 
 
 def _param_mul(p, q):
@@ -150,31 +131,13 @@ def _fuse(d: Diagram, loc) -> Diagram:
     shared = _edges_between(d, i, j)
     if not shared:
         raise StaleLocation(f"nodes {i} and {j} share no wire")
-    used = {end for e in shared for end in e}
-
-    surviving = []  # (old node, old port, is_input)
-    for node, g in ((i, gi), (j, gj)):
-        for p in range(g.arity):
-            if ("n", node, p) not in used:
-                surviving.append((node, p, p < g.n_in))
-    inputs = [(n, p) for n, p, is_in in surviving if is_in]
-    outputs = [(n, p) for n, p, is_in in surviving if not is_in]
-    port_map = {}
-    for new_p, (n, p) in enumerate(inputs + outputs):
-        port_map[("n", n, p)] = ("n", i, new_p)
-
+    (ins_i, outs_i), (ins_j, outs_j) = _legs(d, i, shared), _legs(d, j, shared)
+    ins, outs = ins_i + ins_j, outs_i + outs_j
     if gi.kind == WZ:
-        merged = Gen(WZ, len(inputs), len(outputs), None, _param_mul(gi.param, gj.param))
+        merged = Gen(WZ, len(ins), len(outs), None, _param_mul(gi.param, gj.param))
     else:
-        merged = Gen(gi.kind, len(inputs), len(outputs), gi.phase + gj.phase)
-
-    edge_map = dict(port_map)
-    for e in shared:
-        edge_map[e[0]] = None
-        edge_map[e[1]] = None
-    nodes, edges = _drop_nodes(d, {j}, edge_map)
-    nodes[i] = merged
-    return _rebuild(d, nodes, edges)
+        merged = Gen(gi.kind, len(ins), len(outs), gi.phase + gj.phase)
+    return replace_nodes(d, [((i, j), Diagram.generator(merged), ins + outs)], cut=shared)
 
 
 FUSION = Schema("fusion", _fusion_sites, _fuse)
@@ -191,27 +154,12 @@ def _identity_sites(d: Diagram) -> list:
     ]
 
 
-def _neighbour(d: Diagram, end):
-    for a, b in d.edges:
-        if a == end:
-            return b
-        if b == end:
-            return a
-    raise StaleLocation(f"port {end!r} has no wire")
-
-
 def _remove_identity(d: Diagram, i) -> Diagram:
     g = _check_node(d, i, (Z, X))
     if (g.n_in, g.n_out) != (1, 1) or not g.phase.is_zero:
         raise StaleLocation(f"node {i} is not a phase-free 1->1 spider")
-    a = _neighbour(d, ("n", i, 0))
-    b = _neighbour(d, ("n", i, 1))
-    if a == ("n", i, 1):  # the spider's own legs are joined: a closed circle
-        nodes, edges = _drop_nodes(d, {i}, {("n", i, 0): None, ("n", i, 1): None})
-        return _rebuild(d, nodes, edges, extra_loops=1)
-    edge_map = {("n", i, 0): None, ("n", i, 1): None}
-    nodes, edges = _drop_nodes(d, {i}, edge_map, new_edges=[(a, b)])
-    return _rebuild(d, nodes, edges)
+    # a spider whose two legs are joined becomes a closed circle
+    return replace_nodes(d, [((i,), Diagram.identity(1), [("n", i, 0), ("n", i, 1)])])
 
 
 IDENTITY_REMOVAL = Schema("identity-removal", _identity_sites, _remove_identity)
@@ -232,21 +180,14 @@ def _cancel_h(d: Diagram, loc) -> Diagram:
     i, j = loc
     if i == j:
         raise StaleLocation("needs two distinct Hadamards")
-    i, j = min(i, j), max(i, j)
     _check_node(d, i, (H_KIND,))
     _check_node(d, j, (H_KIND,))
-    shared = _edges_between(d, i, j)
-    if not shared:
+    if not _edges_between(d, i, j):
         raise StaleLocation(f"nodes {i} and {j} share no wire")
-    dead = {("n", i, 0): None, ("n", i, 1): None, ("n", j, 0): None, ("n", j, 1): None}
-    if len(shared) == 2:  # H then H closed into a circle: trace(id) = 2
-        nodes, edges = _drop_nodes(d, {i, j}, dead)
-        return _rebuild(d, nodes, edges, extra_loops=1)
-    used = {end for end in shared[0]}
-    (a,) = [_neighbour(d, ("n", i, p)) for p in (0, 1) if ("n", i, p) not in used]
-    (b,) = [_neighbour(d, ("n", j, p)) for p in (0, 1) if ("n", j, p) not in used]
-    nodes, edges = _drop_nodes(d, {i, j}, dead, new_edges=[(a, b)])
-    return _rebuild(d, nodes, edges)
+    # each Hadamard becomes a plain wire; an H pair closed on itself is a
+    # circle, trace(id) = 2
+    ports = [("n", i, 0), ("n", j, 0), ("n", i, 1), ("n", j, 1)]
+    return replace_nodes(d, [((i, j), Diagram.identity(2), ports)])
 
 
 H_CANCEL = Schema("h-cancel", _h_cancel_sites, _cancel_h)
@@ -286,15 +227,13 @@ def _merge_scalars(d: Diagram, loc) -> Diagram:
         g = _check_node(d, i, (Z, X))
         if not _is_dot(g, 0):
             raise StaleLocation(f"node {i} is not a phase-free scalar spider")
-        nodes, edges = _drop_nodes(d, {i}, {})
-        return _rebuild(d, nodes, edges, extra_loops=1)
+        return replace_nodes(d, [((i,), Diagram.circle(1), [])])
     _, i, j = loc
     gi = _check_node(d, i, (Z, X))
     gj = _check_node(d, j, (Z, X))
     if not (_is_dot(gi, Fraction(1, 2)) and _is_dot(gj, Fraction(3, 2))):
         raise StaleLocation("expected a +pi/2 and a -pi/2 scalar spider")
-    nodes, edges = _drop_nodes(d, {i, j}, {})
-    return _rebuild(d, nodes, edges, extra_loops=1)
+    return replace_nodes(d, [((i, j), Diagram.circle(1), [])])
 
 
 SCALAR_MERGE = Schema("scalar-merge", _scalar_sites, _merge_scalars)
@@ -312,15 +251,6 @@ def _hopf_sites(d: Diagram) -> list:
     return out
 
 
-def _shrink(g: Gen, dropped_ports) -> tuple[Gen, dict]:
-    """The same spider with some ports deleted; returns the new generator and
-    an old-port -> new-port map."""
-    keep = [p for p in range(g.arity) if p not in dropped_ports]
-    n_in = sum(1 for p in keep if p < g.n_in)
-    port_map = {p: new for new, p in enumerate(keep)}
-    return Gen(g.kind, n_in, len(keep) - n_in, g.phase), port_map
-
-
 def _apply_hopf(d: Diagram, loc) -> Diagram:
     i, j = loc
     if not (0 <= i < len(d.nodes) and 0 <= j < len(d.nodes)) or i == j:
@@ -331,28 +261,17 @@ def _apply_hopf(d: Diagram, loc) -> Diagram:
     if len(shared) < 2:
         raise StaleLocation(f"nodes {i} and {j} share fewer than two wires")
     cut = sorted(shared)[:2]
-    dropped = {i: set(), j: set()}
-    for e in cut:
-        for end in e:
-            dropped[end[1]].add(end[2])
-    gen_i, map_i = _shrink(d.nodes[i], dropped[i])
-    gen_j, map_j = _shrink(d.nodes[j], dropped[j])
-
-    def remap(end):
-        if end[0] == "n" and end[1] == i and end[2] in map_i:
-            return ("n", i, map_i[end[2]])
-        if end[0] == "n" and end[1] == j and end[2] in map_j:
-            return ("n", j, map_j[end[2]])
-        return end
-
-    edges = [tuple(map(remap, e)) for e in d.edges if e not in cut]
-    nodes = list(d.nodes)
-    nodes[i], nodes[j] = gen_i, gen_j
-    out = _rebuild(d, nodes, edges)
-    return out.tensor(half_scalar())
+    (ins_i, outs_i), (ins_j, outs_j) = _legs(d, i, cut), _legs(d, j, cut)
+    gi, gj = d.nodes[i], d.nodes[j]
+    frag = ten(
+        Diagram.generator(Gen(gi.kind, len(ins_i), len(outs_i), gi.phase)),
+        Diagram.generator(Gen(gj.kind, len(ins_j), len(outs_j), gj.phase)),
+        half_scalar(),
+    )
+    return replace_nodes(d, [((i, j), frag, ins_i + ins_j + outs_i + outs_j)], cut=cut)
 
 
-HOPF = Schema("hopf", _hopf_sites, _apply_hopf, grows=True)
+HOPF = Schema("hopf", _hopf_sites, _apply_hopf)
 
 
 # -- colour change (opt-in: grows by one Hadamard per leg) -------------------------
@@ -363,11 +282,12 @@ def _colour_sites(d: Diagram) -> list:
 
 
 def _change_colour(d: Diagram, i) -> Diagram:
-    _check_node(d, i, (X,))
-    return red_to_green(d, only=(i,))
+    g = _check_node(d, i, (X,))
+    frag = red_to_green(Diagram.generator(g))  # H-layer ; Z ; H-layer
+    return replace_nodes(d, [((i,), frag, [("n", i, p) for p in range(g.arity)])])
 
 
-COLOR_CHANGE = Schema("color-change", _colour_sites, _change_colour, grows=True)
+COLOR_CHANGE = Schema("color-change", _colour_sites, _change_colour)
 
 
 DEFAULT_STRATEGY = (FUSION, IDENTITY_REMOVAL, H_CANCEL, SCALAR_MERGE)
@@ -379,6 +299,7 @@ def simplify(d: Diagram, strategy=DEFAULT_STRATEGY, fuel: Optional[int] = None):
     diagram and the trace of (schema name, location) steps taken."""
     if fuel is None:
         fuel = 10 * len(d.nodes)
+    check_count("fuel", fuel)
     trace = []
     for _ in range(fuel):
         for schema in strategy:

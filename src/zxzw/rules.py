@@ -30,7 +30,7 @@ from . import diagrams as dg
 from . import gadgets as gad
 from .diagrams import Diagram
 from .rings import Cyclo
-from .semantics import EXACT, FLOAT, interp
+from .semantics import EXACT, FLOAT, Float, eq_semantic, interp
 
 F = Fraction
 
@@ -733,15 +733,7 @@ def _json_matrix(m) -> list:
     rows, cols = m.shape
     if rows * cols > 256:
         return [[f"({rows}x{cols} matrix elided)"]]
-    return [[_json_value(_entry_json(m[i, j])) for j in range(cols)] for i in range(rows)]
-
-
-def _entry_json(e):
-    if isinstance(e, complex):
-        return e
-    if isinstance(e, (int, float)):
-        return e
-    return str(e)
+    return [[_json_value(m[i, j]) for j in range(cols)] for i in range(rows)]
 
 
 def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
@@ -777,6 +769,7 @@ def verify_rule(
     """Check one rule over its grid or sampled bindings, plus all variants."""
     if budget < 0 or samples < 0:
         raise RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
+    approx = Float(tol)
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = _bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)
@@ -786,11 +779,7 @@ def verify_rule(
         for v in variants:
             lhs, rhs = instantiate(rule, b, v)
             checked += 1
-            if rule.exact:
-                ok = interp(lhs, EXACT) == interp(rhs, EXACT)
-            else:
-                ok = interp(lhs, FLOAT).close(interp(rhs, FLOAT), tol)
-            if ok:
+            if eq_semantic(lhs, rhs, EXACT if rule.exact else approx):
                 continue
             failed += 1
             if len(failures) < max_failures:

@@ -37,6 +37,20 @@ class SemanticsError(Exception):
     pass
 
 
+class ArgumentError(ValueError):
+    """A numeric argument outside its meaningful range; the message names it."""
+
+
+def check_tol(tol: float) -> None:
+    if not 0 <= tol < cmath.inf:
+        raise ArgumentError(f"tol must be finite and non-negative, got {tol}")
+
+
+def check_count(name: str, n: int) -> None:
+    if n < 0:
+        raise ArgumentError(f"{name} must be non-negative, got {n}")
+
+
 @dataclass(frozen=True)
 class Exact:
     """Interpret in Z[1/2][omega]; requires pi/4-exact, variable-free content."""
@@ -47,6 +61,9 @@ class Float:
     """Interpret in complex floats; `tol` is the equality tolerance."""
 
     tol: float = 1e-9
+
+    def __post_init__(self):
+        check_tol(self.tol)
 
 
 InterpMode = Union[Exact, Float]
@@ -366,6 +383,8 @@ def eq_linear(
     is exactly zero; with float constants it is evidence from the
     valuations checked.
     """
+    check_tol(tol)
+    check_count("samples", samples)
     if d1.shape != d2.shape:
         raise ArityMismatch(f"cannot compare {d1.shape} with {d2.shape}")
     names = sorted(d1.free_variables() | d2.free_variables())

@@ -189,6 +189,44 @@ def test_bad_input_is_one_error_line(tmp_path, command, content, message):
     assert message in proc.stderr
 
 
+FLOAT_PAIR = ("(Z 1 1 0.3)\n", "(seq (Z 1 1 0.1) (Z 1 1 0.2))\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eq", "f1", "f2", "--tol", "nan"], "tol must be finite and non-negative, got nan"),
+        (["eq", "f1", "f2", "--tol", "-1"], "tol must be finite and non-negative, got -1.0"),
+        (["eq", "f1", "f2", "--tol", "inf"], "tol must be finite and non-negative, got inf"),
+        (["eq", "e1", "e2", "--tol", "inf"], "tol must be"),  # checked when both sides are exact
+        (["eq", "e1", "e2", "--exact", "--tol", "-1"], "tol must be"),
+        (["verify-axioms", "--set", "zw", "--budget", "4", "--samples", "2", "--tol", "-1"], "tol must be"),
+        (["verify-axioms", "--set", "zx-pi2", "--budget", "4", "--samples", "2", "--tol", "nan"], "tol must be"),
+        (["eq", "v1", "v2", "--samples", "-5"], "samples must be non-negative, got -5"),
+        (["simplify", "e1", "--fuel", "-1"], "fuel must be non-negative, got -1"),
+    ],
+)
+def test_meaningless_numeric_option_is_one_error_line(tmp_path, args, message):
+    files = {
+        "f1": FLOAT_PAIR[0], "f2": FLOAT_PAIR[1],
+        "e1": "(Z 1 1 pi/4)\n", "e2": "(Z 1 1 pi/2)\n",
+        "v1": "(seq (Z 1 1 a) (Z 1 1 0))\n", "v2": "(Z 1 1 a)\n",
+    }
+    argv = [write(tmp_path, a + ".zx", files[a]) if a in files else a for a in args]
+    proc = subprocess.run([sys.executable, "-m", "zxzw.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+def test_float_pair_is_equal_at_the_default_tolerance(tmp_path, capsys):
+    a, b = (write(tmp_path, f"{k}.zx", t) for k, t in enumerate(FLOAT_PAIR))
+    assert main(["eq", a, b]) == 0
+    assert main(["eq", a, b, "--tol", "0"]) == 1  # they differ in the last bits
+    assert capsys.readouterr().out.startswith("equal\nnot equal (max entry difference")
+
+
 def test_eval_at_the_wire_limit(tmp_path, capsys):
     f = write(tmp_path, "wide.zx", "(Z 0 16 0)\n")
     assert main(["eval", f]) == 0

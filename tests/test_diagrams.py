@@ -290,6 +290,14 @@ def test_iso_distinguishes_mutated_phase(seed):
     assert not iso_equal(d, mutated)
 
 
+
+@pytest.mark.parametrize("n", [1_100, 3_000])
+def test_iso_equal_of_a_long_chain(n):
+    # one search frame per node, none of them on the Python call stack
+    d = seq(*[dg.z(1, 1, Fraction(1, 4))] * n)
+    assert iso_equal(d, d)
+    assert not iso_equal(d, seq(*[dg.z(1, 1, Fraction(1, 4))] * (n - 1), dg.z(1, 1, Fraction(1, 2))))
+
 # -- grafting -------------------------------------------------------------------------
 
 
@@ -309,6 +317,54 @@ def test_graft_splices_and_relabels():
     with pytest.raises(ArityMismatch):
         graft(d, lambda g: dg.h(), d.tag)
 
+
+
+def _fusion_case():
+    d = seq(dg.z(1, 2, Fraction(1, 4)), dg.z(2, 1, Fraction(1, 4)))
+    shared = [e for e in d.edges if e[0][0] == e[1][0] == "n"]
+    return d, shared
+
+
+def test_replace_nodes_fuses_a_pair_across_cut_wires():
+    d, shared = _fusion_case()
+    group = ((0, 1), dg.z(1, 1, Fraction(1, 2)), [("n", 0, 0), ("n", 1, 2)])
+    assert dg.replace_nodes(d, [group], cut=shared) == dg.z(1, 1, Fraction(1, 2))
+
+
+def test_replace_nodes_closes_wires_into_loops():
+    closed = seq(Diagram.cap(), ten(dg.z(1, 1), Diagram.identity(1)), Diagram.cup())
+    out = dg.replace_nodes(closed, [((0,), Diagram.identity(1), [("n", 0, 0), ("n", 0, 1)])])
+    assert out == Diagram.circle(1, "zx")
+
+
+@pytest.mark.parametrize(
+    "groups, cut, message",
+    [
+        # ("n", 0, 2) is neither a fragment port nor an end of a cut wire
+        ([((0, 1), dg.z(1, 1), [("n", 0, 0), ("n", 1, 2)])], [0], r"\('n', 0, 2\)"),
+        # a port given twice
+        ([((0, 1), dg.z(2, 1), [("n", 0, 0), ("n", 0, 0), ("n", 1, 2)])], [0, 1], r"\('n', 0, 0\)"),
+        # a port of a node that stays
+        ([((0,), dg.z(1, 3), [("n", 0, 0), ("n", 0, 1), ("n", 0, 2), ("n", 1, 2)])], [], r"\('n', 1, 2\)"),
+        ([((0,), dg.z(1, 0), [("n", 0, 0)]), ((0, 1), dg.z(0, 1), [("n", 1, 2)])], [0, 1], "node 0"),
+        ([((5,), Diagram.empty(), [])], [], "node 5"),
+        ([((), Diagram.empty(), [])], [], "needs nodes"),
+    ],
+)
+def test_replace_nodes_refuses_an_unaccounted_port(groups, cut, message):
+    d, shared = _fusion_case()
+    with pytest.raises(DiagramError, match=message):
+        dg.replace_nodes(d, groups, cut=[shared[k] for k in cut])
+
+
+def test_replace_nodes_refuses_a_cut_that_is_not_a_wire():
+    d, _ = _fusion_case()
+    ports = [("n", 0, 0), ("n", 1, 2)]
+    fake = [(("n", 0, 1), ("n", 0, 2)), (("n", 1, 0), ("n", 1, 1))]
+    with pytest.raises(DiagramError, match="not a wire"):
+        dg.replace_nodes(d, [((0, 1), dg.z(1, 1), ports)], cut=fake)
+    with pytest.raises(ArityMismatch):
+        dg.replace_nodes(d, [((0, 1), dg.z(1, 2), ports)])
 
 # -- flip and color swap -----------------------------------------------------------
 

@@ -177,6 +177,11 @@ def test_printed_chain_grows_linearly():
     assert iso_equal(parse(text), d)
 
 
+def test_long_chain_reparses_isomorphic():
+    d = seq(*[z(1, 1, F(1, 4))] * 1_500)
+    assert iso_equal(parse(print_diagram(d)), d)
+
+
 @pytest.mark.parametrize("depth", [3_000, 100_000])
 def test_deep_nesting_parses(depth):
     assert parse("(seq " * depth + "id" + ")" * depth) == Diagram.identity(1)

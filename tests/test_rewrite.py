@@ -1,5 +1,6 @@
 """Rewrite schemas, the simplifier, and proof-script checking."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zxzw.rewrite as rw
+import zxzw.translate as tr
 from helpers import random_diagram
-from zxzw.diagrams import Diagram, h, iso_equal, seq, ten, white, x, z
+from zxzw.diagrams import Diagram, color_swap, h, iso_equal, seq, ten, white, x, z
+from zxzw.dsl import parse, print_diagram
 from zxzw.matrices import Matrix
 from zxzw.rings import Cyclo
 from zxzw.semantics import EXACT, eq_semantic, interp
@@ -130,6 +133,273 @@ def test_simplify_respects_fuel():
     chain = seq(*[z(1, 1, 0)] * 5)
     out, trace = rw.simplify(chain, fuel=2)
     assert len(trace) == 2 and len(out.nodes) == 3
+
+
+def test_simplify_refuses_negative_fuel():
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        rw.simplify(seq(*[z(1, 1, 0)] * 5), fuel=-1)
+
+
+# -- pinned outputs of the simplifier and of every `graft` caller ----------------
+
+# (input, printed simplification, trace, SHA-256 of the printed translation
+# (zx_to_zw, or zw_to_zx for a zw input), round trip, colour swap and
+# triangle expansion).  An input is diagram text, or the seed and calculus of
+# `random_diagram(random.Random(seed), tag=calculus, max_nodes=6)`.
+GOLDEN = [
+    (
+        '(seq cap (ten (Z 1 1 0) id) cup)',
+        '(seq cap cup)',
+        [('identity-removal', 0)],
+        (
+            'a3994d028176fc38cf19ec8314e508216c77c0078f4f0dd008677b0d43255b94',
+            '826eff7cab729b2065aff894dd624a472b0e503c06ba14c1f66411a775cf5254',
+            '45cc35343ad64ccda85dd676e08a150f53d20569e308ecdece60e982489140be',
+            '826eff7cab729b2065aff894dd624a472b0e503c06ba14c1f66411a775cf5254',
+        ),
+    ),
+    (
+        '(seq cap (ten (seq H H) id) cup)',
+        '(seq cap cup)',
+        [('h-cancel', (0, 1))],
+        (
+            '85e763f9642a449cf8bfead9733a15575d29e8524602c6891f73e3cb9d18909c',
+            '8122d037be72cfb0f0804191474998e0c9d2f4238158f699dcc5b10e25b2bd7f',
+            'd1970945a0e7d01cd038f5948dd5ee1f4efa86fa7e4dc414d27c2ddae3f0f781',
+            'd1970945a0e7d01cd038f5948dd5ee1f4efa86fa7e4dc414d27c2ddae3f0f781',
+        ),
+    ),
+    (
+        '(seq H H H)',
+        'H',
+        [('h-cancel', (0, 1))],
+        (
+            '18fab543333ae4c23eb43a5e3f64485d021a4c2b7e0ea3ccc484b0863c64822a',
+            '7096c3b9ec7a59ac4be7ce6a5c9a99491a516c47ef540890bf3987cdf47849da',
+            '6b6ec5572c4d5aca60b289adf8fa6ff70d0955879124a110299d5740f2e0b544',
+            '6b6ec5572c4d5aca60b289adf8fa6ff70d0955879124a110299d5740f2e0b544',
+        ),
+    ),
+    (
+        '(ten (Z 0 0 0) (Z 0 0 pi/2) (X 0 0 3*pi/2) (X 0 0 pi/2))',
+        '(ten (X 0 0 pi/2) (seq cap cup) (seq cap cup))',
+        [('scalar-merge', ('pair', 1, 2)), ('scalar-merge', ('two', 0))],
+        (
+            'c91ffdd81330893dfaaafa1fb44b9dfd96e888ba9cd26ccc10c36f11907de6e2',
+            '5f4d6fc59d0895eb30f942fa6960778cb280badf0aa2824fa163638a4ad4e68b',
+            '806b1bd17f57ef9e15164e4b14b9310eb238f0a8db36bf5746e57555bf0726d1',
+            '7a43fa512c59875d9f8da5d2300c8b5e45a34ad174c8d8dd6dbf13f166c19b64',
+        ),
+    ),
+    (
+        '(seq (Z 1 1 pi/4) (Z 1 1 pi/4) (Z 1 2 0) (Z 2 1 pi/2) (Z 1 1 0))',
+        '(Z 1 1 pi)',
+        [('fusion', (0, 1)), ('fusion', (0, 1)), ('fusion', (0, 1)), ('fusion', (0, 1))],
+        (
+            '96091baf0eb7f36b57fc3bcf041169d48efa05a20022ce967b9e882beb460564',
+            '04f3cf214d64e37a000e8381595d94df014eb8bfba6d15f22fd8a114976a35f4',
+            'bbbc8915312eb43bae638158f2db9e12c4e5dbaaedf407f402f32ea26092cda2',
+            '04f3cf214d64e37a000e8381595d94df014eb8bfba6d15f22fd8a114976a35f4',
+        ),
+    ),
+    (
+        '(seq (X 1 2 pi) (ten H (X 1 1 0)) (X 2 1 pi/4) H)',
+        '(seq (ten id cap cap cap) (perm 0 1 4 2 5 3 6) (ten (X 2 2 5*pi/4) H H id id id) (perm 3 5 1 0 2 4 6) (ten id cup cup cup))',
+        [('fusion', (0, 2)), ('fusion', (0, 2))],
+        (
+            '4be53f1b32e00d120c56166565a72ff3b25f6d739ec797f1ad4f1adf859c0e7b',
+            '2ad4ab2e3947b3378ec72f0bb1e46914968bc48acef57ccb8233070b51b5c96c',
+            '2e0ec85e071ca5e52a853c92d3ccc626533b6b532ecc591abaa06a2877e89036',
+            'feb1b9709a0e75a31e269dd8562d77b9aeb2acc7f49d1f135402c23df02caf30',
+        ),
+    ),
+    (
+        '(seq (wz 1 1 2) (wz 1 2 -1) (wz 2 1 cyclo:0,1,0,0,0) (W 1 1))',
+        '(seq (ten id cap) (ten (wz 1 1 cyclo:0,-2,0,0,0) (W 1 1) id) (perm 1 0 2) (ten id cup))',
+        [('fusion', (0, 1)), ('fusion', (0, 1))],
+        (
+            '5ec6761a3509bd887dc75b0e921f3531470e8dd0de01e2e23e91016b3c082700',
+            None,
+            None,
+            None,
+        ),
+    ),
+    (
+        '(seq (wz 1 1 1) (W 1 2) (ten (wz 1 1 2) (wz 1 1 3)) (zw-cross))',
+        '(seq (ten id cap cap cap cap cap) (perm 0 1 6 2 7 3 8 4 9 5 10) (ten (wz 1 1 1) (W 1 2) (wz 1 1 2) (wz 1 1 3) (zw-cross) id id id id id) (perm 2 4 6 8 10 0 1 3 5 7 9 11) (ten id id cup cup cup cup cup))',
+        [],
+        (
+            'eb6ff764641620791604b7d9509a853633b389961898def82bcd85ee64f4d30e',
+            None,
+            None,
+            None,
+        ),
+    ),
+    (
+        '(seq (Z 1 1 pi/2) (tri 1) (Z 1 1 0) (tri -1) (X 1 1 pi))',
+        '(seq (ten id cap cap cap) (perm 0 1 4 2 5 3 6) (ten (Z 1 1 pi/2) (tri 1) (tri -1) (X 1 1 pi) id id id) (perm 1 3 5 0 2 4 6) (ten id cup cup cup))',
+        [('identity-removal', 2)],
+        (
+            '3ba37615b4eefa92f9ea206cda0a6a1908b68bfb9c527426413a2f866759eaa8',
+            '39690fe5f419e70b295decf5f286eaf696566bfbd41cc92e3fd3c021a8e58d3d',
+            '931482eb3b5218d8afb4cf3987a1fc8a5f86ff7836953709210cea488c1d6d0b',
+            '80e0d17a2527961a488609a69aa6e615fe03696b57b93316687beb232839e796',
+        ),
+    ),
+    (
+        '(seq (Z 1 1 0) H (X 1 1 0))',
+        'H',
+        [('identity-removal', 0), ('identity-removal', 1)],
+        (
+            'ccc2f455a4fb6602b763c5043060d137eeeb1042e754b1f5bf0826e6bf989711',
+            '8ce7ecdb8f892419a7ec8c95c647ffb60a1e87f447606755029fcfd20eff0eb9',
+            '4c242769fb40dddafa87b01085af1960905541721596352eaf9f5793ae67478d',
+            '4975b4a3397e63834a53c729eaa90a6a5513090ec406a7cec2947523f7557f67',
+        ),
+    ),
+    (
+        '(seq (X 1 1 pi/2) H H (Z 1 1 pi/4))',
+        '(seq (ten id cap) (ten (X 1 1 pi/2) (Z 1 1 pi/4) id) (perm 1 0 2) (ten id cup))',
+        [('h-cancel', (1, 2))],
+        (
+            '6a9a44f013534e7468b4b03c30789276b3b45effc74ef414af10cb98b36fda31',
+            '633d542af7302709e3f0ba09b55408598af518eb8e7141d9556e313518409460',
+            '920d6d3f56a133db7a60e65de86a4ca1fd00f86ec6aab64476bee737d77c73fe',
+            'a8f0f9097cb120b4b4fcf285cecf215d8baa58a73ef793d573e456415545e751',
+        ),
+    ),
+    (
+        (5, 'zx'),
+        '(seq (perm 1 0) (ten (Z 1 0 0) (Z 0 1 7*pi/4) id) (perm 1 0))',
+        [('h-cancel', (0, 3)), ('h-cancel', (0, 1))],
+        (
+            '91d1fa2ca80eeb0a8f9a4dacb5ba89ce3c43ccd43d5beb7d5307fc740d6636e0',
+            '3dac315ca491521c822985b09a88ededf714ff4fb40da80a6a88b3765ad5e874',
+            '242f5c7f9fd9c7dcaa69b6e48d8e923a09b6f829545d0d708f8e310f9537ef3b',
+            'b108beb349004c05920412f125c16c20776d1e34e4dabcf5ff5332918295824a',
+        ),
+    ),
+    (
+        (20, 'zx'),
+        '(seq (ten id cap) (perm 1 0 2) (ten (Z 0 2 pi/2) (Z 1 0 0) id id) (perm 2 3 0 1) (ten id id cup))',
+        [('fusion', (1, 2)), ('fusion', (1, 2)), ('h-cancel', (0, 2))],
+        (
+            '0d31fe150e098044ed95be50a32bec8736481eac016e2114f7c72a9a50bdd914',
+            'bb13c837b9b951150df498f8c9d19e880e967a86aa2067b360fe5ae3c2e379c0',
+            '290e04818e095d6af003e643ea103e8f6980e12b8d23eddc9fbc9492a8c959cf',
+            '65879ff55696a21dcc39819af80e23ec4e44a8445d0421a2ca2a4e9488448391',
+        ),
+    ),
+    (
+        (26, 'zx'),
+        '(ten id (seq cap cup))',
+        [('fusion', (2, 3)), ('h-cancel', (0, 1)), ('scalar-merge', ('two', 0))],
+        (
+            '60886b13e289abd0e556a42c0e0b8ac8e34ad61cf3a3ce4cd95e262bc7a37e08',
+            '894bf03be0a4129e37bca4d239dabe8301fc09b9258a2735cba5cd8b490c6106',
+            '1e555b7db5afa3c8ef9ce64d82da5681c649b926b59c74c0e30891de3ecee260',
+            '20177a0854fec849479fd0c3aa00c794b5192ef342ca5dbbcf481aec5d0cdb5c',
+        ),
+    ),
+    (
+        (34, 'zx'),
+        '(ten (seq (ten id id cap cap) (perm 3 0 1 4 2 5) (ten (Z 2 1 pi) (X 1 2 0) id id id) (perm 4 2 0 1 3 5) (ten cup cup cup)) (seq cap cup))',
+        [('fusion', (0, 3)), ('fusion', (0, 1)), ('fusion', (0, 1)), ('fusion', (0, 1))],
+        (
+            'fed3de62ea330f7723cc1795de1a0d9a7fcab4cd873027ef6780f11e1fd19ff4',
+            '1bf58550f7624c62b06eda4e9eb095a2a7839117d8f533c8689937069ad1e3a0',
+            '1ec45a09e20cbad44f11ea3e03c29fb3609f2f042f57271d0e3e2a6093dccf01',
+            '46f48edfd691a8fcfc29854af514e960e593c9048f74fa8024102054980fab9f',
+        ),
+    ),
+    (
+        (13, 'zxt'),
+        '(ten (seq (ten id id cap cap cap) (perm 0 5 1 3 4 6 2 7) (ten (X 2 2 7*pi/4) H (Z 1 0 0) (Z 1 0 0) id id id) (perm 2 4 3 0 5 1) (ten id id cup cup)) (seq cap cup))',
+        [('fusion', (0, 1)), ('fusion', (0, 1))],
+        (
+            '98e5f6637e9d00f117f51b249a0a7356fb129a288a10d7fa611dd1fa90aae2f9',
+            'fa4bf7e7e3d8b51aff00a38655d8c1b4781bc49f66c086f2932610760de4f694',
+            '81e1903d24bd290e11d52e65280351bcd1d4c970003b6eafdd2103b6c36c87dc',
+            'ea1fefd2f98a0895d7508a7f0d3aa0cd80dcc6244b8cd377d0f496c09164c7f1',
+        ),
+    ),
+    (
+        (62, 'zxt'),
+        '(ten (seq (ten id cap cap) (perm 3 0 4 1 2) (ten (X 2 0 pi) (Z 2 1 3*pi/4) id) cup) (seq cap cup))',
+        [('fusion', (0, 1)), ('fusion', (0, 4)), ('fusion', (1, 2)), ('fusion', (1, 2))],
+        (
+            'a73647474fe0474ba1571e18d54e9a3803d649cee13589ac582e82ce36926501',
+            'edc5c600bf7c311662e2dbd837234148766a5121a2a919db80fbe84b00be37e9',
+            'cf83625a82411cb97dc8721c24f7544d2bf038a3a8ec3e85da4069d2818edd4b',
+            '58fc33df6c854015682d0d4a9789d7d7702b76084f94513a8006f5e9c2cff694',
+        ),
+    ),
+    (
+        (111, 'zxt'),
+        '(ten (seq (ten id cap) (perm 2 0 1) (ten (X 1 1 3*pi/4) (Z 1 0 0) id)) (seq cap cup))',
+        [('fusion', (0, 1)), ('fusion', (0, 1))],
+        (
+            '2c4fcf7cc12ad14bff2b71c46102784459a881c5c94a6ce76f3e432199f61fa5',
+            '8ee097baf49529c3cbe59b59cf16c22898b8575b865b16d44783595210f26df8',
+            '3f6073b876d5cb8de04de4d800e2d49f86b05e185b6fdfc35d003d87be1ab534',
+            'c3383cd241a76921fe12beb56acd69afa7b3a0f23c7c62081da2a5a0cce56990',
+        ),
+    ),
+    (
+        (20, 'zw'),
+        '(seq (ten id cap) (perm 2 0 1) (ten (wz 0 2 -1) half (zw-cross) (wz 1 0 1)) (perm 2 1 0 3) (ten id id cup))',
+        [('fusion', (0, 1)), ('fusion', (0, 1))],
+        (
+            'b3eb6245cb59daa7caf0523c85e5f4de75a630ee4ddef9447426b302eb1cd9d8',
+            None,
+            None,
+            None,
+        ),
+    ),
+    (
+        (131, 'zw'),
+        '(seq (ten id id cap cap) (perm 4 0 1 5 2 3) (ten half (wz 1 0 1) (zw-cross) (wz 1 2 2) half id id) (perm 4 2 1 5 0 3) (ten id id cup cup))',
+        [('fusion', (1, 6)), ('fusion', (3, 4))],
+        (
+            'b4556191ba0613d6d1b0ec88a95e0aa08b6c912adf277c7aa4ad94a7492d27f9',
+            None,
+            None,
+            None,
+        ),
+    ),
+    (
+        (183, 'zw'),
+        '(ten (seq cap (ten (wz 1 1 1) (wz 0 0 2) half (W 1 1)) cup) (seq cap cup))',
+        [('fusion', (0, 1)), ('fusion', (1, 4))],
+        (
+            'be2554ae876103c1f89ac9384dd8707300337814319288d6fc12032cc962aa5d',
+            None,
+            None,
+            None,
+        ),
+    ),
+]
+
+
+def _sha(d):
+    return hashlib.sha256(print_diagram(d).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: str(c[0]))
+def test_pinned_simplify_and_graft_outputs(case):
+    key, printed, trace, hashes = case
+    if isinstance(key, str):
+        d = parse(key)
+    else:
+        d = random_diagram(random.Random(key[0]), tag=key[1], max_nodes=6)
+    out, steps = rw.simplify(d)
+    assert print_diagram(out) == printed
+    assert steps == trace
+    if d.tag == "zw":
+        assert (_sha(tr.zw_to_zx(d)), None, None, None) == hashes
+    else:
+        got = (tr.zx_to_zw(d), tr.round_trip(d), color_swap(d), tr.expand_triangle(d))
+        assert tuple(map(_sha, got)) == hashes
 
 
 # -- proof scripts ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zxzw import rules as ru
 from zxzw.matrices import Matrix
+from zxzw import semantics
 from zxzw.semantics import EXACT, FLOAT, interp
 
 F = Fraction
@@ -116,6 +117,12 @@ def test_failure_record_carries_both_matrices():
     fail = rep.failures[0]
     assert fail["lhs_matrix"] != fail["rhs_matrix"]
     assert len(fail["lhs_matrix"]) == 4  # a 4 x 4 matrix, row-major
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_meaningless_tolerance_is_refused_for_exact_rules_too(tol):
+    with pytest.raises(semantics.ArgumentError, match="tol"):
+        ru.verify_rule(ru.AXIOM_SETS["zx-pi2"].rule("S"), budget=2, tol=tol)
 
 
 def test_no_pass_on_zero_instances():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import as_array, matmul, random_diagram, shuffled_copy
 from test_acceptance import criterion_9_pairs
 from zxzw import diagrams as dg
+from zxzw import semantics
 from zxzw.diagrams import ArityMismatch, Diagram, Gen, flip, iso_equal, rotate_cross_ports, seq, ten
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -395,3 +396,21 @@ def test_exact_and_float_interp_disagreement_caught():
     # regression guard: the exact embedding of 1/sqrt2 matches the float one
     m = as_array(interp(dg.h(), EXACT))
     assert np.allclose(m @ m, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_meaningless_tolerance_is_refused(tol):
+    family = dg.z(1, 1, Phase.var("a"))
+    with pytest.raises(semantics.ArgumentError, match="tol"):
+        Float(tol)
+    with pytest.raises(semantics.ArgumentError, match="tol"):
+        eq_linear(family, family, tol=tol)
+    with pytest.raises(semantics.ArgumentError, match="tol"):
+        eq_linear(dg.z(1, 1, 0), dg.z(1, 1, 0), tol=tol)
+
+
+def test_negative_sample_count_is_refused():
+    family = dg.z(1, 1, Phase.var("a"))
+    with pytest.raises(semantics.ArgumentError, match="samples"):
+        eq_linear(family, family, samples=-5)
+    assert eq_linear(family, family, samples=0).equal
