@@ -179,7 +179,7 @@ def _cmd_translate(args) -> int:
     d = _load(args.file)
     try:
         out = tr.zx_to_zw(d) if args.to == "zw" else tr.zw_to_zx(d)
-    except (tr.TranslateError, tr.SingularPhase) as e:
+    except tr.TranslateError as e:
         raise InputError(f"{args.file}: {e}") from None
     print(print_diagram(out))
     return 0
@@ -189,7 +189,7 @@ def _cmd_roundtrip(args) -> int:
     d = _load(args.file)
     try:
         back = tr.round_trip(d)
-    except (tr.TranslateError, tr.SingularPhase) as e:
+    except tr.TranslateError as e:
         raise InputError(f"{args.file}: {e}") from None
     mode = best_mode(d, back)
     if eq_semantic(d, back, mode):

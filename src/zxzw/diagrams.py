@@ -19,11 +19,11 @@ self-loop uses two distinct ports of the same node.
 
 Every composite is built by one splice: `seq` and `ten` take any number
 of parts, and `replace_nodes` puts fragments in place of groups of nodes.
-`graft` (node by node, for the translations) and every rewrite schema are
-calls to `replace_nodes`.  The splice concatenates the parts' nodes in
-order, joins the wires that meet at a shared boundary (so composing `cup`
-after `cap` really produces a closed circle), and sorts and validates the
-result once.
+Every node replacement is a `replace_nodes` call: `graft` (node by node,
+for the translations and `color_swap`) and every rewrite schema, colour
+change included.  The splice concatenates the parts' nodes in order, joins
+the wires that meet at a shared boundary (so composing `cup` after `cap`
+really produces a closed circle), and sorts and validates the result once.
 """
 
 from __future__ import annotations
@@ -552,44 +552,6 @@ def color_swap(d: Diagram) -> Diagram:
     return graft(d, replace, d.tag)
 
 
-def red_to_green(d: Diagram) -> Diagram:
-    """Replace each X spider by a Z spider with a Hadamard on every leg,
-    which is the X spider's definition.
-
-    A single direct pass: each spider's Hadamards follow it in node order.
-    """
-    red = [g.kind == X for g in d.nodes]
-    if not any(red):
-        return d
-    nodes: list[Gen] = []
-    hads: dict[tuple[int, int], int] = {}  # (old node, port) -> H node id
-    remap: dict[int, int] = {}
-    edges = []
-    for i, g in enumerate(d.nodes):
-        remap[i] = len(nodes)
-        if not red[i]:
-            nodes.append(g)
-            continue
-        zi = len(nodes)
-        nodes.append(Gen(Z, g.n_in, g.n_out, g.phase))
-        for p in range(g.arity):
-            hi = len(nodes)
-            nodes.append(Gen(H, 1, 1))
-            hads[(i, p)] = hi
-            edges.append((("n", hi, 1), ("n", zi, p)))
-
-    def lift(end):
-        if end[0] != "n":
-            return end
-        _, i, p = end
-        if (i, p) in hads:
-            return ("n", hads[(i, p)], 0)
-        return ("n", remap[i], p)
-
-    edges += [tuple(map(lift, e)) for e in d.edges]
-    return Diagram(d.tag, nodes, edges, d.n_in, d.n_out, d.loops)
-
-
 def rotate_cross_ports(d: Diagram, node: int, k: int = 1) -> Diagram:
     """Rotate the four wires of a zw crossing one cyclic step (times k)."""
     if d.nodes[node].kind != CROSS:
@@ -738,6 +700,11 @@ def x(n: int, m: int, phase: PhaseLike = 0) -> Diagram:
 
 def h() -> Diagram:
     return Diagram.generator(Gen(H, 1, 1))
+
+
+def h_layer(n: int) -> Diagram:
+    """A Hadamard on each of n parallel wires."""
+    return ten(*([h()] * n)) if n else Diagram.identity(0)
 
 
 def w11() -> Diagram:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from . import rules as _rules
-from .diagrams import Diagram, Gen, WZ, Z, X, H as H_KIND, red_to_green, replace_nodes, ten
+from .diagrams import Diagram, Gen, WZ, Z, X, H as H_KIND, flip, h_layer, replace_nodes, seq, ten
 from .dsl import DslError, parse
 from .gadgets import half_scalar
 from .rings import Cyclo
@@ -283,7 +283,9 @@ def _colour_sites(d: Diagram) -> list:
 
 def _change_colour(d: Diagram, i) -> Diagram:
     g = _check_node(d, i, (X,))
-    frag = red_to_green(Diagram.generator(g))  # H-layer ; Z ; H-layer
+    # the right side of rule H, with every Hadamard's port 0 on the outer wire
+    green = Diagram.generator(Gen(Z, g.n_in, g.n_out, g.phase))
+    frag = seq(h_layer(g.n_in), green, flip(h_layer(g.n_out)))
     return replace_nodes(d, [((i,), frag, [("n", i, p) for p in range(g.arity)])])
 
 

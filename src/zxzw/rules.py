@@ -69,10 +69,6 @@ def _id(n):
     return Diagram.identity(n)
 
 
-def _h_layer(n):
-    return dg.ten(*([dg.h()] * n)) if n else _id(0)
-
-
 def _apply_variant(d: Diagram, variant: str) -> Diagram:
     if variant == "base":
         return d
@@ -212,7 +208,7 @@ RULE_EU = Rule(
 
 def _h_build(b):
     a, n, m = b["a"], b["n"], b["m"]
-    return dg.x(n, m, a), dg.seq(_h_layer(n), dg.z(n, m, a), _h_layer(m))
+    return dg.x(n, m, a), dg.seq(dg.h_layer(n), dg.z(n, m, a), dg.h_layer(m))
 
 
 RULE_H = Rule(
@@ -685,6 +681,9 @@ def axiom_set(name: str) -> AxiomSet:
 # -- verification -----------------------------------------------------------------
 
 
+MAX_FAILURES = 3  # failure records kept in a report; `failed` counts them all
+
+
 @dataclass
 class RuleReport:
     rule: str
@@ -764,7 +763,6 @@ def verify_rule(
     samples: int = 1000,
     seed: int = 0,
     tol: float = 1e-9,
-    max_failures: int = 3,
 ) -> RuleReport:
     """Check one rule over its grid or sampled bindings, plus all variants."""
     if budget < 0 or samples < 0:
@@ -782,7 +780,7 @@ def verify_rule(
             if eq_semantic(lhs, rhs, EXACT if rule.exact else approx):
                 continue
             failed += 1
-            if len(failures) < max_failures:
+            if len(failures) < MAX_FAILURES:
                 failures.append(
                     {
                         "binding": {k: _json_value(val) for k, val in b.items()},

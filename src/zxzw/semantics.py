@@ -8,10 +8,11 @@ tolerance at all.
 
 The interpreter contracts sparse generator tensors along the edge list,
 eliminating at each step the pair of tensors whose merge leaves the fewest
-open wires.  Red spiders are not given their own tensor: a pre-pass rewrites
-each one into a green spider with a Hadamard on every leg, which is their
-definition.  The result is a `matrices.Matrix` for every boundary size: the
-nonzero entries that the contraction leaves, keyed by (row, column).
+open wires.  There is no pre-pass: a red spider enters the network as its
+definition, a green spider's tensor with a Hadamard tensor on every leg,
+and no diagram is rebuilt.  The result is a `matrices.Matrix` for every
+boundary size: the nonzero entries that the contraction leaves, keyed by
+(row, column).
 
 The same contraction runs over Laurent polynomials in z_v = e^{iv} for
 diagrams whose phases carry variables, so `eq_linear` interprets each side
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, Z, ArityMismatch, Diagram, Gen, red_to_green
+from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, X, Z, ArityMismatch, Diagram, Gen
 from .matrices import Matrix
 from .phases import Phase
 from .rings import INV_SQRT2, Cyclo, Laurent, is_zero
@@ -90,7 +91,8 @@ def _constants_exact(d: Diagram) -> bool:
 
 
 def best_mode(*ds: Diagram, tol: float = 1e-9) -> InterpMode:
-    return EXACT if all(exact_eligible(d) for d in ds) else Float(tol)
+    approx = Float(tol)  # refuses a meaningless tolerance whichever mode is picked
+    return EXACT if all(exact_eligible(d) for d in ds) else approx
 
 
 # -- generator tensors ---------------------------------------------------------
@@ -142,7 +144,10 @@ def _gen_entries(g: Gen, exact: bool) -> dict:
     if g.kind == TRI:
         r = _param_value(g.param, exact)
         return {(0, 0): one, (1, 0): r, (1, 1): one}
-    raise SemanticsError(f"no tensor for generator kind {g.kind}")  # X handled by pre-pass
+    raise SemanticsError(f"no tensor for generator kind {g.kind}")  # X: see _contract_diagram
+
+
+_HADAMARD = Gen(H, 1, 1)
 
 
 def _accum(d: dict, key, value):
@@ -268,29 +273,31 @@ def interp(d: Diagram, mode: InterpMode = EXACT) -> Matrix:
 def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
     """Contract the tensor network of `d`, whose generator tensors come
     from `gen_entries(g)` over the scalar ring with unit `one`, to a map
-    from (row, col) to the nonzero entries of its matrix."""
-    d = red_to_green(d)
+    from (row, col) to the nonzero entries of its matrix.
 
-    # label every edge; boundary ports get their own open labels
+    An X spider enters as its definition: a Z tensor on inner labels of
+    its own, then one Hadamard per leg in port order, port 0 on the leg's
+    wire and port 1 on the inner label."""
+    # label every wire by its index, or by the boundary port it reaches
     tensors = []
-    port_label: dict = {}
+    port_labels = [[None] * g.arity for g in d.nodes]
     for idx, (a, b) in enumerate(d.edges):
-        for end in (a, b):
-            if end[0] == "n":
-                port_label[(end[1], end[2])] = idx
         if a[0] != "n" and b[0] != "n":
             # wire between two boundary ports: a 2-leg identity tensor
             tensors.append(([_blabel(a), _blabel(b)], {(0, 0): one, (1, 1): one}))
+            continue
+        lab = _blabel(a) if a[0] != "n" else _blabel(b) if b[0] != "n" else idx
+        for end in (a, b):
+            if end[0] == "n":
+                port_labels[end[1]][end[2]] = lab
     for i, g in enumerate(d.nodes):
-        labels = []
-        for p in range(g.arity):
-            lab = port_label.get((i, p))
-            if lab is None:
-                raise SemanticsError(f"unwired port {p} of node {i}")
-            labels.append(lab)
-        # boundary-adjacent legs re-labelled to open boundary labels
-        labels = [_openlabel(d, lab, i) for lab, _ in zip(labels, range(g.arity))]
-        tensors.append(_self_trace(labels, gen_entries(g)))
+        if g.kind != X:
+            tensors.append(_self_trace(port_labels[i], gen_entries(g)))
+            continue
+        inner = [("x", i, p) for p in range(g.arity)]
+        tensors.append((inner, gen_entries(Gen(Z, g.n_in, g.n_out, g.phase))))
+        for lab, lab_in in zip(port_labels[i], inner):
+            tensors.append(([lab, lab_in], gen_entries(_HADAMARD)))
 
     scalar = one
     for _ in range(d.loops):
@@ -320,15 +327,6 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
 
 def _blabel(end):
     return ("bi", end[1]) if end[0] == "i" else ("bo", end[1])
-
-
-def _openlabel(d: Diagram, edge_idx: int, _node: int):
-    a, b = d.edges[edge_idx]
-    if a[0] != "n":
-        return _blabel(a)
-    if b[0] != "n":
-        return _blabel(b)
-    return edge_idx
 
 
 # -- equality -------------------------------------------------------------------

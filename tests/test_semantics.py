@@ -79,6 +79,69 @@ def test_x_spider_closed_form_oracle(k, n, m):
             assert got[row, col] == pytest.approx(want, abs=1e-9)
 
 
+# X spiders enter the network as a Z spider with a Hadamard on every leg
+
+
+def _x_as_definition(n, m, a):
+    return seq(dg.h_layer(n), dg.z(n, m, a), dg.h_layer(m))
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("m", range(4))
+def test_x_spider_is_its_definition_on_the_grid(n, m):
+    for k in range(8):
+        a = Fraction(k, 4)
+        assert interp(dg.x(n, m, a)) == interp(_x_as_definition(n, m, a))
+
+
+def test_x_spider_is_its_definition_with_a_float_phase():
+    got, want = interp(dg.x(2, 1, 0.3), FLOAT), interp(_x_as_definition(2, 1, 0.3), FLOAT)
+    assert got.close(want, FLOAT.tol)
+
+
+def test_x_spider_is_its_definition_for_a_phase_variable():
+    a = Phase.var("a")
+    assert eq_linear(dg.x(1, 2, a), _x_as_definition(1, 2, a), samples=5, seed=0).proved
+
+
+def test_x_spider_with_two_legs_on_one_wire():
+    for k in range(8):
+        a = Fraction(k, 4)
+        looped = seq(Diagram.cap(), dg.x(2, 1, a))
+        assert interp(looped) == interp(seq(Diagram.cap(), _x_as_definition(2, 1, a)))
+        assert interp(looped) == interp(dg.x(0, 1, a))
+
+
+def test_x_spider_wired_to_the_boundary_and_inside():
+    a = Fraction(3, 4)
+    for red, green in [
+        (ten(Diagram.identity(1), dg.x(1, 2, a), Diagram.swap()),
+         ten(Diagram.identity(1), _x_as_definition(1, 2, a), Diagram.swap())),
+        (seq(dg.z(1, 2, a), dg.x(2, 1, a), dg.z(1, 1, a)),
+         seq(dg.z(1, 2, a), _x_as_definition(2, 1, a), dg.z(1, 1, a))),
+    ]:
+        assert interp(red) == interp(green)
+
+
+def test_interp_builds_no_diagram(monkeypatch):
+    a = Phase.var("a")
+    reds = seq(dg.z(1, 2, Fraction(1, 4)), dg.x(2, 1, Fraction(1, 2)), dg.x(1, 1, 0.3))
+    family = seq(dg.x(1, 2, a), dg.x(2, 1, a))
+    exact = dg.x(2, 2, Fraction(1, 4))
+    calls = []
+    real = Diagram.validate
+
+    def counted(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(Diagram, "validate", counted)
+    interp(reds, FLOAT)
+    interp(exact, EXACT)
+    eq_linear(family, family, samples=2, seed=0)
+    assert calls == []
+
+
 def test_wire_generators():
     assert interp(Diagram.cup()) == M([[1, 0, 0, 1]])
     assert interp(Diagram.cap()) == M([[1], [0], [0], [1]])
@@ -407,6 +470,13 @@ def test_meaningless_tolerance_is_refused(tol):
         eq_linear(family, family, tol=tol)
     with pytest.raises(semantics.ArgumentError, match="tol"):
         eq_linear(dg.z(1, 1, 0), dg.z(1, 1, 0), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_best_mode_refuses_a_meaningless_tolerance_on_exact_diagrams(tol):
+    assert best_mode(dg.z(1, 1, 0)) == EXACT
+    with pytest.raises(semantics.ArgumentError, match="tol"):
+        best_mode(dg.z(1, 1, 0), tol=tol)
 
 
 def test_negative_sample_count_is_refused():
