@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from helpers import as_array, matmul, random_diagram, shuffled_copy
 from test_acceptance import criterion_9_pairs
 from zxzw import diagrams as dg
 from zxzw import semantics
+from zxzw import translate as tr
 from zxzw.diagrams import ArityMismatch, Diagram, Gen, flip, iso_equal, rotate_cross_ports, seq, ten
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -484,3 +486,25 @@ def test_negative_sample_count_is_refused():
     with pytest.raises(semantics.ArgumentError, match="samples"):
         eq_linear(family, family, samples=-5)
     assert eq_linear(family, family, samples=0).equal
+
+
+# -- pinned engine outputs -------------------------------------------------------------
+# Exact results only: the last bits of float entries follow the platform's libm.
+
+
+def _pinned_engine_digest():
+    h = hashlib.sha256()
+    for tag in ("zx", "zxt", "zw"):
+        for seed in range(12):
+            d = random_diagram(random.Random(seed), tag=tag, max_nodes=4)
+            for e in (d, tr.zw_to_zx(d) if tag == "zw" else tr.round_trip(d)):
+                h.update(repr(sorted(interp(e, EXACT).entries.items())).encode())
+    identities, refuted = criterion_9_pairs()
+    for d1, d2 in identities + refuted:
+        res = eq_linear(d1, d2, samples=5, seed=3)
+        h.update(repr((res.equal, res.witness, res.valuations_checked, res.proved)).encode())
+    return h.hexdigest()
+
+
+def test_pinned_interp_and_eq_linear_outputs():
+    assert _pinned_engine_digest() == "d6a76257993078729ff0384e34b32d2dfa4a9616ce2b80659a3ec459077a3842"
