@@ -23,23 +23,23 @@ class Cyclo:
 
     Stored as four integers over a shared power-of-two denominator; the
     canonical form has the denominator exponent minimal, so equality is
-    component-wise comparison of the stored tuple.
+    component-wise comparison of the stored tuple.  An element equals an
+    int when it is that integer (b = c = d = e = 0), and it then hashes
+    like the int, so either finds the other in a dict or set.
     """
 
     __slots__ = ("a", "b", "c", "d", "e")
 
     def __init__(self, a: int, b: int = 0, c: int = 0, d: int = 0, e: int = 0):
         if e < 0:
-            s = 1 << (-e)
-            a, b, c, d, e = a * s, b * s, c * s, d * s, 0
-        while e > 0 and a % 2 == 0 and b % 2 == 0 and c % 2 == 0 and d % 2 == 0:
-            a //= 2
-            b //= 2
-            c //= 2
-            d //= 2
-            e -= 1
-        if a == b == c == d == 0:
-            e = 0
+            a, b, c, d, e = a << -e, b << -e, c << -e, d << -e, 0
+        elif e and not (a | b | c | d) & 1:  # all even: cancel common 2s
+            v = a | b | c | d
+            if v:
+                k = min(e, (v & -v).bit_length() - 1)  # 2s common to all four
+                a, b, c, d, e = a >> k, b >> k, c >> k, d >> k, e - k
+            else:
+                e = 0
         self.a, self.b, self.c, self.d, self.e = a, b, c, d, e
 
     # -- constructors -------------------------------------------------
@@ -47,28 +47,21 @@ class Cyclo:
     @staticmethod
     def omega_power(k: int) -> "Cyclo":
         """omega^k for any integer k (omega^8 = 1)."""
-        k %= 8
-        sign = 1 if k < 4 else -1
-        coef = [0, 0, 0, 0]
-        coef[k % 4] = sign
-        return Cyclo(*coef)
+        return _OMEGA_POWERS[k % 8]
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _as_cyclo(other)
-        if other is NotImplemented:
-            return NotImplemented
-        e = max(self.e, other.e)
-        s = 1 << (e - self.e)
-        t = 1 << (e - other.e)
-        return Cyclo(
-            self.a * s + other.a * t,
-            self.b * s + other.b * t,
-            self.c * s + other.c * t,
-            self.d * s + other.d * t,
-            e,
-        )
+        if other.__class__ is not Cyclo:
+            other = _as_cyclo(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.e == other.e:
+            a, b, c, d = self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
+            return Cyclo(a, b, c, d, self.e)
+        x, y = (self, other) if self.e > other.e else (other, self)
+        t = x.e - y.e  # bring y over x's denominator
+        return Cyclo(x.a + (y.a << t), x.b + (y.b << t), x.c + (y.c << t), x.d + (y.d << t), x.e)
 
     __radd__ = __add__
 
@@ -82,29 +75,26 @@ class Cyclo:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_cyclo(other) + (-self)
-
-    def __mul__(self, other):
         other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
-        x = (self.a, self.b, self.c, self.d)
-        y = (other.a, other.b, other.c, other.d)
-        acc = [0, 0, 0, 0]
-        for i in range(4):
-            xi = x[i]
-            if xi == 0:
-                continue
-            for j in range(4):
-                yj = y[j]
-                if yj == 0:
-                    continue
-                k = i + j
-                if k < 4:
-                    acc[k] += xi * yj
-                else:
-                    acc[k - 4] -= xi * yj
-        return Cyclo(acc[0], acc[1], acc[2], acc[3], self.e + other.e)
+        return other + (-self)
+
+    def __mul__(self, other):
+        if other.__class__ is not Cyclo:
+            other = _as_cyclo(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self.a, self.b, self.c, self.d
+        p, q, r, s = other.a, other.b, other.c, other.d
+        # omega^4 = -1: a product landing on omega^{k+4} counts -1 at omega^k
+        return Cyclo(
+            a * p - b * s - c * r - d * q,
+            a * q + b * p - c * s - d * r,
+            a * r + b * q + c * p - d * s,
+            a * s + b * r + c * q + d * p,
+            self.e + other.e,
+        )
 
     __rmul__ = __mul__
 
@@ -121,7 +111,9 @@ class Cyclo:
         )
 
     def __hash__(self):
-        return hash(("Cyclo", self.a, self.b, self.c, self.d, self.e))
+        if self.b == self.c == self.d == self.e == 0:
+            return hash(self.a)  # equal to the int a, so it hashes like it
+        return hash((self.a, self.b, self.c, self.d, self.e))
 
     def conj(self) -> "Cyclo":
         """Complex conjugate: omega maps to omega^{-1} = -omega^3."""
@@ -289,5 +281,7 @@ class Laurent:
         return f"Laurent({self.terms!r})"
 
 
-_OMEGA_POWERS = tuple(Cyclo.omega_power(k) for k in range(8))
+# omega^0 .. omega^7, as omega^4 = -1
+_OMEGA_POWERS = tuple(Cyclo(*c) for c in ((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1)))
+_OMEGA_POWERS += tuple(-w for w in _OMEGA_POWERS)
 _OMEGA_FLOATS = tuple(omega_float(k) for k in range(8))

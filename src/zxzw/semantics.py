@@ -14,6 +14,14 @@ and no diagram is rebuilt.  The result is a `matrices.Matrix` for every
 boundary size: the nonzero entries that the contraction leaves, keyed by
 (row, column).
 
+A tensor keeps its nonzero entries keyed by 0/1 tuples, one slot per leg.
+A pair contraction reads the shared and the kept slots of each key with
+`operator.itemgetter`s.  These come from a plan cached per shape (the two
+leg counts and the shared positions; at most 4096 plans), and no table
+over the 2^legs assignments is ever built, so a wide spider costs what its
+nonzero entries do.  Within one call each generator object's tensor is
+built once and shared by every node that holds it.
+
 The same contraction runs over Laurent polynomials in z_v = e^{iv} for
 diagrams whose phases carry variables, so `eq_linear` interprets each side
 once and decides every valuation from the difference; when all constants
@@ -23,9 +31,13 @@ are exact, an identically zero difference proves equality for every phase.
 from __future__ import annotations
 
 import cmath
+import heapq
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Mapping, Optional, Union
 
 from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, X, Z, ArityMismatch, Diagram, Gen
@@ -160,7 +172,7 @@ def _accum(d: dict, key, value):
 # -- contraction ---------------------------------------------------------------
 
 
-def _self_trace(labels: list, entries: dict):
+def _self_trace(labels: tuple, entries: dict):
     """Contract legs of one tensor that share a label (node self-loops)."""
     while True:
         dup = None
@@ -177,86 +189,118 @@ def _self_trace(labels: list, entries: dict):
             if key[i] == key[j]:
                 red = tuple(v for t, v in enumerate(key) if t != i and t != j)
                 _accum(out, red, val)
-        labels = [lab for t, lab in enumerate(labels) if t != i and t != j]
+        labels = tuple(lab for t, lab in enumerate(labels) if t != i and t != j)
         entries = out
 
 
-def _contract_pair(t1, t2):
-    labels1, e1 = t1
-    labels2, e2 = t2
-    shared = [lab for lab in labels1 if lab in labels2]
-    pos1 = [labels1.index(lab) for lab in shared]
-    pos2 = [labels2.index(lab) for lab in shared]
-    keep1 = [t for t in range(len(labels1)) if t not in pos1]
-    keep2 = [t for t in range(len(labels2)) if t not in pos2]
+def _picker(pos: tuple):
+    """A getter for the key slots at `pos`, as a tuple (a slice when they
+    are contiguous)."""
+    if not pos or pos == tuple(range(pos[0], pos[0] + len(pos))):
+        return itemgetter(slice(pos[0], pos[-1] + 1) if pos else slice(0))
+    return itemgetter(*pos)
+
+
+@lru_cache(maxsize=4096)
+def _plan(n1: int, pos1: tuple, n2: int, pos2: tuple):
+    """Getters for the shared and the kept key slots of two tensors with
+    `n1` and `n2` legs that share the legs at `pos1` and `pos2`.  Cached by
+    these shapes: at most 4096 plans, each of four getters."""
+    keep1 = tuple(t for t in range(n1) if t not in pos1)
+    keep2 = tuple(t for t in range(n2) if t not in pos2)
+    return _picker(pos1), _picker(keep1), _picker(pos2), _picker(keep2)
+
+
+def _contract_pair(labels1: tuple, e1: dict, labels2: tuple, e2: dict):
+    """Sum over the labels that the two tensors share; the result's legs
+    are the rest of `labels1`, then the rest of `labels2`."""
+    pos1, pos2 = [], []
+    for t, lab in enumerate(labels1):
+        if lab in labels2:
+            pos1.append(t)
+            pos2.append(labels2.index(lab))
+    sig1, left1, sig2, right2 = _plan(len(labels1), tuple(pos1), len(labels2), tuple(pos2))
     index: dict = {}
     for key, val in e2.items():
-        sig = tuple(key[t] for t in pos2)
-        index.setdefault(sig, []).append((tuple(key[t] for t in keep2), val))
+        sig = sig2(key)
+        if sig in index:
+            index[sig].append((right2(key), val))
+        else:
+            index[sig] = [(right2(key), val)]
     out: dict = {}
     for key, val in e1.items():
-        sig = tuple(key[t] for t in pos1)
-        left = tuple(key[t] for t in keep1)
-        for right, v2 in index.get(sig, ()):
-            _accum(out, left + right, val * v2)
+        matches = index.get(sig1(key))
+        if matches is None:
+            continue
+        left = left1(key)
+        for right, v2 in matches:
+            k = left + right
+            if k in out:
+                out[k] = out[k] + val * v2
+            else:
+                out[k] = val * v2
     out = {k: v for k, v in out.items() if not is_zero(v)}
-    labels = [labels1[t] for t in keep1] + [labels2[t] for t in keep2]
-    return labels, out
+    return left1(labels1) + right2(labels2), out
+
+
+_OPEN = sys.maxsize  # the missing second end of a boundary label
 
 
 def _contract_all(tensors):
     """Contract a tensor list to a single tensor, eliminating at each step
-    the connected pair that leaves the fewest open legs (edge-driven greedy
-    with a lazy heap, linear-ish in the number of internal wires)."""
-    import heapq
+    the connected pair that leaves the fewest open legs, ties to the
+    lowest ids (edge-driven greedy with a lazy heap).
 
-    pool = dict(enumerate(tensors))
+    Every label sits on two legs, or on one for a boundary label, so
+    `owners` maps it to the ids of the two tensors that carry it (`_OPEN`
+    for a missing one), and a pair's cost comes from counting the labels
+    that a tensor shares with each neighbour."""
+    labels = [lab for lab, _ in tensors]
+    entries = [ent for _, ent in tensors]  # None once merged away
     owners: dict = {}
-    for tid, (labels, _) in pool.items():
-        for lab in labels:
-            owners.setdefault(lab, set()).add(tid)
-
-    def pair_cost(t1, t2):
-        l1, l2 = pool[t1][0], pool[t2][0]
-        shared = len(set(l1) & set(l2))
-        return len(l1) + len(l2) - 2 * shared
-
-    heap = []
-    next_id = len(tensors)
+    for tid, labs in enumerate(labels):
+        for lab in labs:
+            if lab in owners:
+                owners[lab][1] = tid
+            else:
+                owners[lab] = [tid, _OPEN]
+    heap: list = []
 
     def push_pairs(tid):
-        seen = set()
-        for lab in pool[tid][0]:
-            for other in owners.get(lab, ()):
-                if other != tid and other not in seen:
-                    seen.add(other)
-                    a, b = min(tid, other), max(tid, other)
-                    heapq.heappush(heap, (pair_cost(a, b), a, b))
+        """Queue the pairs of `tid` with its neighbours of lower id."""
+        shared: dict = {}
+        for lab in labels[tid]:
+            ends = owners[lab]
+            other = ends[ends[0] == tid]
+            if other < tid:
+                shared[other] = shared.get(other, 0) + 1
+        n = len(labels[tid])
+        for other, k in shared.items():
+            heapq.heappush(heap, (n + len(labels[other]) - 2 * k, other, tid))
 
-    for tid in list(pool):
+    for tid in range(len(tensors)):
         push_pairs(tid)
 
     while heap:
         _, a, b = heapq.heappop(heap)
-        if a not in pool or b not in pool:
+        if entries[a] is None or entries[b] is None:
             continue  # one side already merged away; pair is stale
-        merged = _contract_pair(pool[a], pool[b])
-        for tid in (a, b):
-            for lab in pool[tid][0]:
-                owners[lab].discard(tid)
-            del pool[tid]
-        tid = next_id
-        next_id += 1
-        pool[tid] = merged
-        for lab in merged[0]:
-            owners.setdefault(lab, set()).add(tid)
+        merged, ent = _contract_pair(labels[a], entries[a], labels[b], entries[b])
+        entries[a] = entries[b] = None
+        tid = len(labels)
+        labels.append(merged)
+        entries.append(ent)
+        for lab in merged:
+            ends = owners[lab]
+            ends[ends[0] != a and ends[0] != b] = tid
         push_pairs(tid)
 
     # the rest are disconnected: fold by outer product, smallest first
-    rest = sorted(pool.values(), key=lambda t: len(t[1]))
+    rest = [(lab, ent) for lab, ent in zip(labels, entries) if ent is not None]
+    rest.sort(key=lambda t: len(t[1]))
     out = rest[0]
     for t in rest[1:]:
-        out = _contract_pair(out, t)
+        out = _contract_pair(*out, *t)
     return out
 
 
@@ -278,51 +322,58 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
     An X spider enters as its definition: a Z tensor on inner labels of
     its own, then one Hadamard per leg in port order, port 0 on the leg's
     wire and port 1 on the inner label."""
-    # label every wire by its index, or by the boundary port it reaches
+    # label every wire by its index, or by the boundary port it reaches;
+    # an X spider's inner labels count on from the last wire index
     tensors = []
     port_labels = [[None] * g.arity for g in d.nodes]
     for idx, (a, b) in enumerate(d.edges):
         if a[0] != "n" and b[0] != "n":
             # wire between two boundary ports: a 2-leg identity tensor
-            tensors.append(([_blabel(a), _blabel(b)], {(0, 0): one, (1, 1): one}))
+            tensors.append(((_blabel(a), _blabel(b)), {(0, 0): one, (1, 1): one}))
             continue
         lab = _blabel(a) if a[0] != "n" else _blabel(b) if b[0] != "n" else idx
         for end in (a, b):
             if end[0] == "n":
                 port_labels[end[1]][end[2]] = lab
+    # each generator object's tensor (an X spider's: its Z tensor) is built
+    # once; keyed by identity, as hashing a Gen's phase costs more than
+    # rebuilding the few equal generators that are distinct objects
+    built: dict = {}
+
+    def tensor(g: Gen) -> dict:
+        ent = built.get(id(g))
+        if ent is None:
+            ent = built[id(g)] = gen_entries(Gen(Z, g.n_in, g.n_out, g.phase) if g.kind == X else g)
+        return ent
+
+    inner = len(d.edges)
     for i, g in enumerate(d.nodes):
         if g.kind != X:
-            tensors.append(_self_trace(port_labels[i], gen_entries(g)))
+            tensors.append(_self_trace(tuple(port_labels[i]), tensor(g)))
             continue
-        inner = [("x", i, p) for p in range(g.arity)]
-        tensors.append((inner, gen_entries(Gen(Z, g.n_in, g.n_out, g.phase))))
-        for lab, lab_in in zip(port_labels[i], inner):
-            tensors.append(([lab, lab_in], gen_entries(_HADAMARD)))
+        legs = tuple(range(inner, inner + g.arity))
+        inner += g.arity
+        tensors.append((legs, tensor(g)))
+        for lab, lab_in in zip(port_labels[i], legs):
+            tensors.append(((lab, lab_in), tensor(_HADAMARD)))
 
     scalar = one
     for _ in range(d.loops):
         scalar = scalar * (one + one)
     if not tensors:
-        tensors.append(([], {(): scalar}))
+        tensors.append(((), {(): scalar}))
     else:
         lab0, e0 = tensors[0]
         tensors[0] = (lab0, {k: v * scalar for k, v in e0.items()})
 
     labels, entries = _contract_all(tensors)
+    # each boundary label's weight in the row-major index row * 2^n + col
     m, n = d.n_out, d.n_in
-    rowpos = {("bo", k): k for k in range(m)}
-    colpos = {("bi", k): k for k in range(n)}
-    assert sorted(labels, key=str) == sorted(list(rowpos) + list(colpos), key=str)
-    coords: dict = {}
-    for key, val in entries.items():
-        row = col = 0
-        for lab, bit in zip(labels, key):
-            if lab in rowpos:
-                row |= bit << (m - 1 - rowpos[lab])
-            else:
-                col |= bit << (n - 1 - colpos[lab])
-        coords[(row, col)] = val
-    return coords
+    weight = {("bo", k): 1 << (n + m - 1 - k) for k in range(m)}
+    weight.update({("bi", k): 1 << (n - 1 - k) for k in range(n)})
+    assert weight.keys() == set(labels)
+    weights = [weight[lab] for lab in labels]
+    return {divmod(sum(map(mul, key, weights)), 1 << n): val for key, val in entries.items()}
 
 
 def _blabel(end):

@@ -145,3 +145,41 @@ def test_laurent_off_by_z8_vanishes_on_grid_only():
     p = Laurent({(8, 0): ONE}) - Laurent({(0, 0): ONE})  # z^8 - 1
     assert not p.is_zero() and p.mod_z8().is_zero()
     assert abs(p.at_angles([0.3, 0.0])) > 0.1
+
+
+def _halved(a, b, c, d, e):
+    """The canonical form by repeated halving, as a reference."""
+    if e < 0:
+        a, b, c, d, e = a * 2**-e, b * 2**-e, c * 2**-e, d * 2**-e, 0
+    while e > 0 and a % 2 == b % 2 == c % 2 == d % 2 == 0:
+        a, b, c, d, e = a // 2, b // 2, c // 2, d // 2, e - 1
+    return (a, b, c, d, 0 if a == b == c == d == 0 else e)
+
+
+@given(coefs, coefs, coefs, coefs, st.integers(min_value=-4, max_value=12), st.integers(0, 8))
+def test_canonical_form_has_the_least_exponent(a, b, c, d, e, k):
+    s = 2**k
+    for args in ((a, b, c, d, e), (a * s, b * s, c * s, d * s, e)):
+        x = Cyclo(*args)
+        assert (x.a, x.b, x.c, x.d, x.e) == _halved(*args)
+
+
+def test_integer_elements_hash_like_their_ints():
+    assert {1: "x"}.get(Cyclo(1)) == "x"
+    assert {Cyclo(-3): "y"}.get(-3) == "y"
+    assert hash(Cyclo(4, 0, 0, 0, 2)) == hash(1)
+    assert hash(Cyclo(0, 0, 0, 0, 5)) == hash(0)
+    assert len({Cyclo(2), 2, Cyclo(4, 0, 0, 0, 1)}) == 1
+
+
+@given(cyclos(), st.integers(0, 6))
+def test_equal_elements_hash_equal(x, k):
+    s = 2**k
+    y = Cyclo(x.a * s, x.b * s, x.c * s, x.d * s, x.e + k)
+    assert x == y and hash(x) == hash(y)
+
+
+def test_subtraction_from_an_unsupported_type_is_a_plain_type_error():
+    assert 3 - Cyclo(1) == Cyclo(2)
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'float' and 'Cyclo'"):
+        1.5 - Cyclo(1)

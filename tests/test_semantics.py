@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,16 @@ def test_large_boundary_uses_sparse():
     assert len(m.entries) == 128
     assert m == interp(Diagram.identity(7))
     assert m[(5, 5)] == Cyclo(1)
+
+
+def test_wide_spider_stays_cheap():
+    # a 40-leg spider has 2 nonzero entries; nothing may grow with 2^legs
+    start = time.perf_counter()
+    assert not eq_semantic(dg.z(0, 40, 0), dg.z(0, 40, Phase.PI))
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert len(interp(dg.z(0, 40, 0)).entries) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 # -- eq_linear ----------------------------------------------------------------------
