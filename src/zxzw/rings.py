@@ -56,10 +56,7 @@ class Cyclo:
             other = _as_cyclo(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.e == other.e:
-            a, b, c, d = self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-            return Cyclo(a, b, c, d, self.e)
-        x, y = (self, other) if self.e > other.e else (other, self)
+        x, y = (self, other) if self.e >= other.e else (other, self)
         t = x.e - y.e  # bring y over x's denominator
         return Cyclo(x.a + (y.a << t), x.b + (y.b << t), x.c + (y.c << t), x.d + (y.d << t), x.e)
 
