@@ -2,11 +2,12 @@
 numpy arrays for the oracles that compare against them."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from zxzw.diagrams import Diagram, Gen
+from zxzw.diagrams import CalculusMismatch, Diagram, DiagramError, Gen
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rings import Cyclo
@@ -50,6 +51,51 @@ def random_diagram(rng: random.Random, n_in=None, n_out=None, tag="zx", max_node
     rng.shuffle(ports)
     edges = [(ports[2 * i], ports[2 * i + 1]) for i in range(len(ports) // 2)]
     return Diagram(tag, nodes, edges, n_in, n_out, loops=rng.randrange(2))
+
+
+_TAG_KINDS = {
+    "zx": {"Z", "X", "H"},
+    "zxt": {"Z", "X", "H", "TRI"},
+    "zw": {"W11", "W12", "WZ", "CROSS", "HALF"},
+}
+
+
+def reference_validate(d) -> None:
+    """The port-by-port validation walk that `Diagram.validate` made before
+    it decided validity with set operations: the reference for which faults
+    are refused, and with which exception class and message.  `d` is
+    anything with a diagram's attributes; its edges are taken as they are."""
+    if d.n_in < 0 or d.n_out < 0 or d.loops < 0:
+        raise DiagramError("negative boundary or loop count")
+    if d.tag is not None and d.tag not in _TAG_KINDS:
+        raise DiagramError(f"unknown calculus tag {d.tag!r}")
+    allowed = _TAG_KINDS.get(d.tag, set())
+    if d.tag is None and d.nodes:
+        raise DiagramError("untagged diagrams must be pure wires")
+    for g in d.nodes:
+        if not isinstance(g, Gen):
+            raise DiagramError(f"node {g!r} is not a generator")
+        if g.kind not in allowed:
+            raise CalculusMismatch(f"{g.kind} is not a {d.tag} generator")
+    expected = set()
+    for i, g in enumerate(d.nodes):
+        for p in range(g.arity):
+            expected.add(("n", i, p))
+    for k in range(d.n_in):
+        expected.add(("i", k))
+    for k in range(d.n_out):
+        expected.add(("o", k))
+    seen = Counter()
+    for e in d.edges:
+        if len(e) != 2 or e[0] == e[1]:
+            raise DiagramError(f"malformed edge {e!r}")
+        for end in e:
+            if end not in expected:
+                raise DiagramError(f"dangling edge end {end!r}")
+            seen[end] += 1
+    for end in expected:
+        if seen[end] != 1:
+            raise DiagramError(f"port {end!r} has {seen[end]} incident wires (needs exactly 1)")
 
 
 def shuffled_copy(d: Diagram, rng: random.Random) -> Diagram:

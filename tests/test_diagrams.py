@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from zxzw.diagrams import (
 )
 from zxzw.phases import Phase
 
-from helpers import random_diagram, shuffled_copy
+from helpers import random_diagram, reference_validate, shuffled_copy
 
 
 # -- construction and validation ----------------------------------------------
@@ -64,6 +65,99 @@ def test_revalidation_is_stable():
     for _ in range(30):
         d = random_diagram(rng)
         d.validate()  # a validated diagram always re-validates
+
+
+_Z11 = Gen("Z", 1, 1, Phase.ZERO)
+_H = Gen("H", 1, 1)
+_THROUGH = [(("i", 0), ("n", 0, 0)), (("n", 0, 1), ("o", 0))]
+
+
+@pytest.mark.parametrize(
+    "args, cls, message",
+    [
+        ((None, (), [], -1, 0), DiagramError, "negative boundary or loop count"),
+        ((None, (), [], 0, -2), DiagramError, "negative boundary or loop count"),
+        ((None, (), [], 0, 0, -1), DiagramError, "negative boundary or loop count"),
+        (("zq", (), [], 0, 0), DiagramError, "unknown calculus tag 'zq'"),
+        ((None, (_H,), _THROUGH, 1, 1), DiagramError, "untagged diagrams must be pure wires"),
+        (("zx", ("spider",), [], 0, 0), DiagramError, "node 'spider' is not a generator"),
+        (("zx", (_Z11, Gen("W11", 1, 1)), [], 0, 0), CalculusMismatch, "W11 is not a zx generator"),
+        (("zw", (Gen("TRI", 1, 1, None, 1),), _THROUGH, 1, 1), CalculusMismatch, "TRI is not a zw generator"),
+        (
+            (None, (), [(("o", 1), ("i", 0), ("o", 0))], 1, 2),
+            DiagramError,
+            "malformed edge (('i', 0), ('o', 0), ('o', 1))",
+        ),
+        ((None, (), [(("i", 0), ("i", 0))], 1, 0), DiagramError, "malformed edge (('i', 0), ('i', 0))"),
+        ((None, (), [(("o", 5), ("i", 0))], 1, 1), DiagramError, "dangling edge end ('o', 5)"),
+        (("zx", (_Z11,), [(("i", 0), ("n", 0, 2)), (("n", 0, 1), ("o", 0))], 1, 1), DiagramError,
+         "dangling edge end ('n', 0, 2)"),
+        (
+            ("zx", (_Z11,), [(("i", 0), ("n", 0, 0))], 1, 0),
+            DiagramError,
+            "port ('n', 0, 1) has 0 incident wires (needs exactly 1)",
+        ),
+        (
+            (None, (), [(("i", 0), ("o", 0)), (("i", 0), ("o", 1))], 1, 2),
+            DiagramError,
+            "port ('i', 0) has 2 incident wires (needs exactly 1)",
+        ),
+    ],
+)
+def test_validation_diagnostics(args, cls, message):
+    with pytest.raises(DiagramError) as info:
+        Diagram(*args)
+    assert type(info.value) is cls and str(info.value) == message
+
+
+def _verdict(check, d):
+    try:
+        check(d)
+    except DiagramError as e:
+        return type(e), str(e)
+    return None
+
+
+def _mutated_edges(rng, d):
+    """d's edges with one edge end dropped, doubled, copied onto another
+    wire, redirected to a random endpoint, or pushed out of range."""
+    edges = [list(e) for e in d.edges]
+    k = rng.randrange(len(edges))
+    side = rng.randrange(2)
+    end = edges[k][side]
+    ports = [("n", i, p) for i, g in enumerate(d.nodes) for p in range(g.arity)]
+    ports += [("i", m) for m in range(d.n_in)] + [("o", m) for m in range(d.n_out)]
+    op = rng.choice(["drop", "double", "copy", "redirect", "range"])
+    if op == "drop":
+        del edges[k][side]
+    elif op == "double":
+        edges[k].insert(side, end)
+    elif op == "copy":
+        edges[rng.randrange(len(edges))][rng.randrange(2)] = end
+    elif op == "redirect":
+        edges[k][side] = rng.choice(ports)
+    elif end[0] == "n":
+        edges[k][side] = ("n", end[1], d.nodes[end[1]].arity + rng.randrange(2))
+    else:
+        edges[k][side] = (end[0], (d.n_in if end[0] == "i" else d.n_out) + rng.randrange(2))
+    return [tuple(e) for e in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["zx", "zxt", "zw"]))
+def test_validate_refuses_exactly_what_the_reference_walk_refuses(seed, tag):
+    rng = random.Random(seed)
+    d = random_diagram(rng, tag=tag)
+    if not d.edges:
+        return
+    edges = _mutated_edges(rng, d)
+    # validate itself, on the edges exactly as mutated ...
+    raw = SimpleNamespace(tag=d.tag, nodes=d.nodes, edges=edges, n_in=d.n_in, n_out=d.n_out, loops=d.loops)
+    assert _verdict(Diagram.validate, raw) == _verdict(reference_validate, raw)
+    # ... and the constructor, which orients and sorts them first
+    raw.edges = sorted(tuple(sorted(e)) for e in edges)
+    built = _verdict(lambda _: Diagram(d.tag, d.nodes, edges, d.n_in, d.n_out, d.loops), None)
+    assert built == _verdict(reference_validate, raw)
 
 
 # -- compositions ----------------------------------------------------------------

@@ -402,6 +402,56 @@ def test_pinned_simplify_and_graft_outputs(case):
         assert tuple(map(_sha, got)) == hashes
 
 
+_PHASES = ("0", "pi/4", "pi/2", "3*pi/4", "pi", "5*pi/4", "3*pi/2", "7*pi/4")
+_CNOT = "(seq (ten (Z 1 2 0) id) (ten id (X 2 1 0)))"
+
+
+def _layered_circuit(rng, wires, atoms):
+    """Circuit text of about `atoms` atoms over `wires` wires: three blocks
+    of one-colour phase gates per wire (which fuse), one Hadamard pair per
+    wire (which cancels), CNOTs at a quarter and three quarters of the
+    layers, and some idle wires."""
+    layers = max(1, atoms // wires)
+    flips = (layers // 3, 2 * layers // 3)
+    cnots = {layers // 4: 0, 3 * layers // 4: wires - 2} if wires > 1 else {}
+    h_pair = [rng.randrange(layers) for _ in range(wires)]
+    rows = []
+    for t in range(layers):
+        if t in cnots:
+            c = cnots[t]
+            row = ["id"] * c + [_CNOT] + ["id"] * (wires - c - 2)
+        else:
+            row = []
+            for w in range(wires):
+                colour = "ZX"[(w + sum(t >= f for f in flips)) % 2]
+                if t == h_pair[w]:
+                    row.append("(seq H H)")
+                elif rng.random() < 0.15:
+                    row.append("id")
+                else:
+                    row.append(f"({colour} 1 1 {rng.choice(_PHASES)})")
+        rows.append("(ten " + " ".join(row) + ")" if len(row) > 1 else row[0])
+    return "(seq\n  " + "\n  ".join(rows) + ")"
+
+
+@pytest.mark.parametrize(
+    "seed, wires, atoms, nodes, digest",
+    [
+        (1, 2, 100, 87, "50397cfc38c28ccfa427fccb3da6995326aee489c397a02c033129c1e23c8b6c"),
+        (2, 3, 200, 171, "60ec2a154b3ac9459ae005f3df399e23825bd1bfa2ef6a39eb3bc49a8c13ee1b"),
+        (3, 4, 300, 257, "5e510608233dcdcf8875a5909ff1bd4e9b8f37aff88f0e97155a62b437bd793d"),
+    ],
+)
+def test_pinned_simplify_of_large_circuits(seed, wires, atoms, nodes, digest):
+    # the printed simplification and its trace, recorded before diagram
+    # construction was made cheaper
+    d = parse(_layered_circuit(random.Random(seed), wires, atoms))
+    assert len(d.nodes) == nodes
+    out, trace = rw.simplify(d)
+    text = print_diagram(out) + "\n" + repr(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # -- proof scripts ---------------------------------------------------------------
 
 
