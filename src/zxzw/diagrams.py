@@ -574,6 +574,8 @@ def _port_class(gen: Gen, port: int) -> str:
     """Canonical port label for matching; symmetric legs share a label."""
     if gen.kind in (Z, X, WZ):
         return "in" if port < gen.n_in else "out"
+    if gen.kind == H:  # its own transpose; a triangle is not
+        return "leg"
     if gen.kind == W12 and port > 0:
         return "out"
     return f"p{port}"

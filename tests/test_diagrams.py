@@ -340,6 +340,16 @@ def test_iso_respects_phases_and_params():
     assert not iso_equal(dg.white(1, 1, 2), dg.white(1, 1, 2j))
 
 
+def test_iso_hadamard_is_its_own_transpose():
+    # H is symmetric, so which way round it sits in the wiring does not matter
+    d = seq(dg.z(1, 2, Fraction(1, 4)), ten(dg.h(), dg.x(1, 1, Fraction(1, 2))), dg.z(2, 1))
+    i = next(i for i, g in enumerate(d.nodes) if g.kind == "H")
+    turn = {("n", i, 0): ("n", i, 1), ("n", i, 1): ("n", i, 0)}
+    turned = Diagram(d.tag, d.nodes, [tuple(turn.get(end, end) for end in e) for e in d.edges], 1, 1)
+    assert turned != d
+    assert iso_equal(d, turned) and iso_equal(turned, d)
+
+
 def test_iso_triangle_is_rigid():
     t = dg.tri(1)
     assert not iso_equal(t, flip(t))  # upside-down triangle is a different map
