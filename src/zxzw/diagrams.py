@@ -15,7 +15,14 @@ Edges join *endpoints*.  An endpoint is one of::
     ("o", k)                  the k-th boundary output
 
 Every endpoint of a validated diagram is used by exactly one edge end; a
-self-loop uses two distinct ports of the same node.
+self-loop uses two distinct ports of the same node.  A diagram keeps each
+edge as a sorted pair of ends, and its edges in sorted order.
+
+Validity is decided with set operations on the whole edge list: every edge
+has two ends, no end occurs twice, and the ends are exactly the endpoints
+of the nodes and boundaries.  Only a diagram that fails this is walked port
+by port; the walk finds the first fault in a fixed order of checks and
+words it as the exception raised.
 
 Every composite is built by one splice: `seq` and `ten` take any number
 of parts, and `replace_nodes` puts fragments in place of groups of nodes.
@@ -31,6 +38,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .phases import Phase, PhaseLike
@@ -156,6 +166,20 @@ def _merge_tags(t1: Optional[str], t2: Optional[str]) -> Optional[str]:
     raise CalculusMismatch(f"cannot mix {t1} and {t2} diagrams")
 
 
+# what validation accepts: an untagged diagram has no nodes, every node is a
+# `Gen` whose kind its tag allows, and every edge has two ends
+_KINDS_OF = {**_TAG_KINDS, None: frozenset()}
+_GEN = {Gen}
+_PAIR = {2}
+_kind = attrgetter("kind")
+
+
+@lru_cache(maxsize=256)
+def _boundary(n_in: int, n_out: int) -> frozenset:
+    """The boundary endpoints of an n_in -> n_out diagram."""
+    return frozenset([*zip(repeat("i"), range(n_in)), *zip(repeat("o"), range(n_out))])
+
+
 class Diagram:
     """An immutable open graph with ordered boundary ports.
 
@@ -170,7 +194,10 @@ class Diagram:
     def __init__(self, tag, nodes, edges, n_in, n_out, loops=0):
         self.tag = tag
         self.nodes = tuple(nodes)
-        self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        try:
+            self.edges = tuple(sorted([(b, a) if b < a else (a, b) for a, b in edges]))
+        except (TypeError, ValueError):  # not a pair of ends: validate words it
+            self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
         self.n_in = n_in
         self.n_out = n_out
         self.loops = loops
@@ -179,49 +206,42 @@ class Diagram:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
-        if self.n_in < 0 or self.n_out < 0 or self.loops < 0:
-            raise DiagramError("negative boundary or loop count")
-        if self.tag is not None and self.tag not in _TAG_KINDS:
-            raise DiagramError(f"unknown calculus tag {self.tag!r}")
-        allowed = _TAG_KINDS.get(self.tag, set())
-        if self.tag is None and self.nodes:
-            raise DiagramError("untagged diagrams must be pure wires")
-        for g in self.nodes:
-            if not isinstance(g, Gen):
-                raise DiagramError(f"node {g!r} is not a generator")
-            if g.kind not in allowed:
-                raise CalculusMismatch(f"{g.kind} is not a {self.tag} generator")
-        expected = set()
-        for i, g in enumerate(self.nodes):
-            for p in range(g.arity):
-                expected.add(("n", i, p))
-        for k in range(self.n_in):
-            expected.add(("i", k))
-        for k in range(self.n_out):
-            expected.add(("o", k))
-        seen = Counter()
-        for e in self.edges:
-            if len(e) != 2 or e[0] == e[1]:
-                raise DiagramError(f"malformed edge {e!r}")
-            for end in e:
-                if end not in expected:
-                    raise DiagramError(f"dangling edge end {end!r}")
-                seen[end] += 1
-        for end in expected:
-            if seen[end] != 1:
-                raise DiagramError(
-                    f"port {end!r} has {seen[end]} incident wires (needs exactly 1)"
-                )
+        """Raise `DiagramError` unless the diagram is well formed.
+
+        Counts are not negative, the tag is known, every node is a `Gen`
+        of a kind the tag allows, and the edges pair up every endpoint:
+        each edge has two ends, no end occurs twice, and the set of ends is
+        the set of node and boundary endpoints.  These are set operations
+        over the whole diagram.  Only when they fail does `_word_fault`
+        walk the diagram port by port, to raise for the first fault in a
+        fixed order with its own exception class and message.
+        """
+        nodes, edges, n_in, n_out = self.nodes, self.edges, self.n_in, self.n_out
+        try:
+            ends = set(chain.from_iterable(edges))
+            valid = (
+                n_in >= 0
+                and n_out >= 0
+                and self.loops >= 0
+                and _GEN.issuperset(map(type, nodes))
+                and _KINDS_OF[self.tag].issuperset(map(_kind, nodes))
+                and _PAIR.issuperset(map(len, edges))
+                and len(ends) == 2 * len(edges)
+            )
+            if valid:
+                expected = {("n", i, p) for i, g in enumerate(nodes) for p in range(g.n_in + g.n_out)}
+                expected |= _boundary(n_in, n_out)
+                valid = ends == expected
+        except (AttributeError, KeyError, TypeError):
+            valid = False
+        if not valid:
+            _word_fault(self)
 
     # -- basic data --------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_in, self.n_out)
-
-    @property
-    def is_pure_wire(self) -> bool:
-        return not self.nodes
 
     def free_variables(self) -> frozenset[str]:
         out = set()
@@ -318,6 +338,43 @@ class Diagram:
             for g in self.nodes
         )
         return Diagram(self.tag, nodes, self.edges, self.n_in, self.n_out, self.loops)
+
+
+def _word_fault(d) -> None:
+    """Walk the diagram `d` port by port and raise for its first fault."""
+    if d.n_in < 0 or d.n_out < 0 or d.loops < 0:
+        raise DiagramError("negative boundary or loop count")
+    if d.tag is not None and d.tag not in _TAG_KINDS:
+        raise DiagramError(f"unknown calculus tag {d.tag!r}")
+    allowed = _TAG_KINDS.get(d.tag, set())
+    if d.tag is None and d.nodes:
+        raise DiagramError("untagged diagrams must be pure wires")
+    for g in d.nodes:
+        if not isinstance(g, Gen):
+            raise DiagramError(f"node {g!r} is not a generator")
+        if g.kind not in allowed:
+            raise CalculusMismatch(f"{g.kind} is not a {d.tag} generator")
+    expected = set()
+    for i, g in enumerate(d.nodes):
+        for p in range(g.arity):
+            expected.add(("n", i, p))
+    for k in range(d.n_in):
+        expected.add(("i", k))
+    for k in range(d.n_out):
+        expected.add(("o", k))
+    seen = Counter()
+    for e in d.edges:
+        if len(e) != 2 or e[0] == e[1]:
+            raise DiagramError(f"malformed edge {e!r}")
+        for end in e:
+            if end not in expected:
+                raise DiagramError(f"dangling edge end {end!r}")
+            seen[end] += 1
+    for end in expected:
+        if seen[end] != 1:
+            raise DiagramError(
+                f"port {end!r} has {seen[end]} incident wires (needs exactly 1)"
+            )
 
 
 def _splice_junctions(raw_edges):

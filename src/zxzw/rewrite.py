@@ -22,6 +22,7 @@ variables) and that every cited rule belongs to the declared axiom set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -66,17 +67,17 @@ def apply(schema: Schema, d: Diagram, loc) -> Diagram:
 # -- shared helpers ----------------------------------------------------------------
 
 
-def _pair_edges(d: Diagram):
-    """Multiset of node pairs i<j joined by at least one edge."""
-    pairs = {}
-    for e in d.edges:
-        ns = sorted({end[1] for end in e if end[0] == "n"})
-        if len(ns) == 2:
-            pairs.setdefault((ns[0], ns[1]), []).append(e)
-    return pairs
+def _pair_edges(d: Diagram) -> Counter:
+    """Multiset of node pairs i<j joined by at least one wire: the number of
+    wires that join each.  Each edge is a sorted pair of ends, so a wire
+    between two nodes has the lower node at its first end."""
+    return Counter([(a[1], b[1]) for a, b in d.edges if a[0] == b[0] == "n" and a[1] != b[1]])
+
 
 def _edges_between(d: Diagram, i: int, j: int):
-    return [e for e in d.edges if {end[1] for end in e if end[0] == "n"} == {i, j}]
+    """The wires joining the distinct nodes i and j."""
+    lo, hi = (i, j) if i < j else (j, i)
+    return [(a, b) for a, b in d.edges if a[1] == lo and b[1] == hi and a[0] == b[0] == "n"]
 
 
 def _check_node(d: Diagram, i: int, kinds) -> Gen:
@@ -111,12 +112,8 @@ _SPIDERS = (Z, X, WZ)
 
 
 def _fusion_sites(d: Diagram) -> list:
-    out = []
-    for (i, j), _ in sorted(_pair_edges(d).items()):
-        gi, gj = d.nodes[i], d.nodes[j]
-        if gi.kind == gj.kind and gi.kind in _SPIDERS:
-            out.append((i, j))
-    return out
+    kinds = [g.kind for g in d.nodes]
+    return [(i, j) for i, j in sorted(_pair_edges(d)) if kinds[i] == kinds[j] in _SPIDERS]
 
 
 def _fuse(d: Diagram, loc) -> Diagram:
@@ -169,11 +166,8 @@ IDENTITY_REMOVAL = Schema("identity-removal", _identity_sites, _remove_identity)
 
 
 def _h_cancel_sites(d: Diagram) -> list:
-    out = []
-    for (i, j), _ in sorted(_pair_edges(d).items()):
-        if d.nodes[i].kind == H_KIND and d.nodes[j].kind == H_KIND:
-            out.append((i, j))
-    return out
+    kinds = [g.kind for g in d.nodes]
+    return [(i, j) for i, j in sorted(_pair_edges(d)) if kinds[i] == kinds[j] == H_KIND]
 
 
 def _cancel_h(d: Diagram, loc) -> Diagram:
@@ -244,9 +238,9 @@ SCALAR_MERGE = Schema("scalar-merge", _scalar_sites, _merge_scalars)
 
 def _hopf_sites(d: Diagram) -> list:
     out = []
-    for (i, j), es in sorted(_pair_edges(d).items()):
+    for (i, j), wires in sorted(_pair_edges(d).items()):
         kinds = {d.nodes[i].kind, d.nodes[j].kind}
-        if kinds == {Z, X} and len(es) >= 2:
+        if kinds == {Z, X} and wires >= 2:
             out.append((i, j))
     return out
 

@@ -116,10 +116,6 @@ class Cyclo:
         """Complex conjugate: omega maps to omega^{-1} = -omega^3."""
         return Cyclo(self.a, -self.d, -self.c, -self.b, self.e)
 
-    def abs2(self) -> "Cyclo":
-        """|z|^2 = z * conj(z) (a real element of the ring)."""
-        return self * self.conj()
-
     def is_zero(self) -> bool:
         return self.a == self.b == self.c == self.d == 0
 

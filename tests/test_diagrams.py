@@ -81,6 +81,11 @@ _THROUGH = [(("i", 0), ("n", 0, 0)), (("n", 0, 1), ("o", 0))]
         (("zq", (), [], 0, 0), DiagramError, "unknown calculus tag 'zq'"),
         ((None, (_H,), _THROUGH, 1, 1), DiagramError, "untagged diagrams must be pure wires"),
         (("zx", ("spider",), [], 0, 0), DiagramError, "node 'spider' is not a generator"),
+        (
+            ("zx", (SimpleNamespace(kind="Z", n_in=0, n_out=0, arity=0),), [], 0, 0),
+            DiagramError,
+            "node namespace(kind='Z', n_in=0, n_out=0, arity=0) is not a generator",
+        ),
         (("zx", (_Z11, Gen("W11", 1, 1)), [], 0, 0), CalculusMismatch, "W11 is not a zx generator"),
         (("zw", (Gen("TRI", 1, 1, None, 1),), _THROUGH, 1, 1), CalculusMismatch, "TRI is not a zw generator"),
         (

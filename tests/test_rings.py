@@ -77,7 +77,7 @@ def test_to_complex_is_homomorphism(x, y):
 def test_conjugation(z):
     assert z.conj().conj() == z
     assert (z * z.conj()).to_complex() == pytest.approx(abs(as_complex(z)) ** 2, abs=1e-6)
-    sq = z.abs2()
+    sq = z * z.conj()
     assert sq.c == 0 and sq.b == -sq.d  # real: no i part, sqrt2-part balanced
 
 
