@@ -212,9 +212,10 @@ class Diagram:
         of a kind the tag allows, and the edges pair up every endpoint:
         each edge has two ends, no end occurs twice, and the set of ends is
         the set of node and boundary endpoints.  These are set operations
-        over the whole diagram.  Only when they fail does `_word_fault`
-        walk the diagram port by port, to raise for the first fault in a
-        fixed order with its own exception class and message.
+        over the whole diagram.  Only when they fail does
+        `_raise_first_fault` walk the diagram port by port; the walk only
+        words the failure, raising for the first fault in a fixed order
+        with its own exception class and message.
         """
         nodes, edges, n_in, n_out = self.nodes, self.edges, self.n_in, self.n_out
         try:
@@ -235,7 +236,7 @@ class Diagram:
         except (AttributeError, KeyError, TypeError):
             valid = False
         if not valid:
-            _word_fault(self)
+            _raise_first_fault(self)
 
     # -- basic data --------------------------------------------------------
 
@@ -340,7 +341,7 @@ class Diagram:
         return Diagram(self.tag, nodes, self.edges, self.n_in, self.n_out, self.loops)
 
 
-def _word_fault(d) -> None:
+def _raise_first_fault(d) -> None:
     """Walk the diagram `d` port by port and raise for its first fault."""
     if d.n_in < 0 or d.n_out < 0 or d.loops < 0:
         raise DiagramError("negative boundary or loop count")

@@ -95,8 +95,11 @@ _THROUGH = [(("i", 0), ("n", 0, 0)), (("n", 0, 1), ("o", 0))]
         ),
         ((None, (), [(("i", 0), ("i", 0))], 1, 0), DiagramError, "malformed edge (('i', 0), ('i', 0))"),
         ((None, (), [(("o", 5), ("i", 0))], 1, 1), DiagramError, "dangling edge end ('o', 5)"),
-        (("zx", (_Z11,), [(("i", 0), ("n", 0, 2)), (("n", 0, 1), ("o", 0))], 1, 1), DiagramError,
-         "dangling edge end ('n', 0, 2)"),
+        (
+            ("zx", (_Z11,), [(("i", 0), ("n", 0, 2)), (("n", 0, 1), ("o", 0))], 1, 1),
+            DiagramError,
+            "dangling edge end ('n', 0, 2)",
+        ),
         (
             ("zx", (_Z11,), [(("i", 0), ("n", 0, 0))], 1, 0),
             DiagramError,
@@ -115,9 +118,9 @@ def test_validation_diagnostics(args, cls, message):
     assert type(info.value) is cls and str(info.value) == message
 
 
-def _verdict(check, d):
+def _verdict(check, *args):
     try:
-        check(d)
+        check(*args)
     except DiagramError as e:
         return type(e), str(e)
     return None
@@ -161,7 +164,7 @@ def test_validate_refuses_exactly_what_the_reference_walk_refuses(seed, tag):
     assert _verdict(Diagram.validate, raw) == _verdict(reference_validate, raw)
     # ... and the constructor, which orients and sorts them first
     raw.edges = sorted(tuple(sorted(e)) for e in edges)
-    built = _verdict(lambda _: Diagram(d.tag, d.nodes, edges, d.n_in, d.n_out, d.loops), None)
+    built = _verdict(Diagram, d.tag, d.nodes, edges, d.n_in, d.n_out, d.loops)
     assert built == _verdict(reference_validate, raw)
 
 
