@@ -1,5 +1,6 @@
-"""Shared test utilities: random diagram generation, and matrices as
-numpy arrays for the oracles that compare against them."""
+"""Shared test utilities: random diagram generation, matrices as numpy
+arrays for the oracles that compare against them, and reference builders
+for the state and scalar gadgets."""
 
 import random
 from collections import Counter
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from zxzw import diagrams as dg
+from zxzw import gadgets as gad
 from zxzw.diagrams import CalculusMismatch, Diagram, DiagramError, Gen
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -126,3 +129,53 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     object arrays of the entries with their own + and *."""
     product = np.array(a.to_rows(), dtype=object) @ np.array(b.to_rows(), dtype=object)
     return Matrix.from_rows(product.tolist(), a.zero)
+
+
+# -- reference gadget builders -------------------------------------------------
+# The pairwise folds that built the state and scalar gadgets before each
+# became one n-ary `seq` or `ten`: the reference for the diagram (nodes,
+# node order, edges and loops) that each builder returns.
+
+
+def reference_unit_scalar(j: int, k: int) -> Diagram:
+    out = Diagram.empty() if j % 8 == 0 else gad.unit_phase(Fraction(j % 8, 4))
+    for _ in range(k):
+        out = out.tensor(gad.sqrt2())
+    for _ in range(-k):
+        out = out.tensor(gad.inv_sqrt2())
+    return out
+
+
+def reference_int_state(n: int) -> Diagram:
+    if n == 0:
+        return gad.zero_state()
+    unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
+    digits = bin(abs(n))[2:]
+    out = unit
+    for _ in range(int(digits[:2], 2) - 1):
+        out = dg.seq(dg.ten(out, unit), gad.w_add())
+    for digit in digits[2:]:
+        out = dg.seq(dg.ten(out, gad._two_state()), dg.z(2, 1, 0))
+        if digit == "1":
+            out = dg.seq(dg.ten(out, unit), gad.w_add())
+    return out
+
+
+def reference_ring_state(r) -> Diagram:
+    r = r if isinstance(r, Cyclo) else Cyclo(int(r))
+    parts = []
+    for k, c in enumerate((r.a, r.b, r.c, r.d)):
+        if c == 0:
+            continue
+        s = reference_int_state(c)
+        if k:
+            s = dg.seq(s, dg.z(1, 1, Fraction(k, 4)))
+        parts.append(s)
+    if not parts:
+        return gad.zero_state()
+    out = parts[0]
+    for s in parts[1:]:
+        out = dg.seq(dg.ten(out, s), gad.w_add())
+    for _ in range(r.e):
+        out = dg.seq(dg.ten(out, gad.half_state()), dg.z(2, 1, 0))
+    return out

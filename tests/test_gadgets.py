@@ -1,13 +1,14 @@
 """Exact checks for the hand-built diagram fragments."""
 
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_array
+from helpers import as_array, reference_int_state, reference_ring_state, reference_unit_scalar
 from zxzw import diagrams as dg
 from zxzw import gadgets as gad
 from zxzw.matrices import Matrix
@@ -179,6 +180,23 @@ def test_ring_state_hits_any_ring_element(a, b, c, d, e):
     r = Cyclo(a, b, c, d, e)
     got = interp(gad.ring_state(r), EXACT)
     assert got == Matrix.from_rows([[Cyclo(1)], [r]])
+
+
+def test_state_and_scalar_gadgets_equal_the_reference_folds():
+    # the same nodes in the same order, the same edges and loops as the
+    # pairwise folds in `helpers` (a 40-digit fold takes seconds: 3 of them)
+    rng = random.Random(20261018)
+    ints = [*range(-300, 301), *(rng.choice((1, -1)) * rng.randrange(10**39, 10**40) for _ in range(3))]
+    for n in ints:
+        assert gad.int_state(n) == reference_int_state(n), n
+    cyclos = [
+        Cyclo(*(rng.randint(-40, 40) for _ in range(4)), rng.randint(0, 12)) for _ in range(60)
+    ]
+    for r in [*cyclos, 0, 7, -3, Cyclo(0, 0, 0, 5), Cyclo(1, 0, 0, 0, 12)]:
+        assert gad.ring_state(r) == reference_ring_state(r), r
+    for j in range(-3, 11):
+        for k in range(-9, 10):
+            assert gad.unit_scalar(j, k) == reference_unit_scalar(j, k), (j, k)
 
 
 def test_cos_plug():
