@@ -390,6 +390,27 @@ def test_console_entry_point(tmp_path):
     assert "exact" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(wz 1 1 1e300)",
+        "(wz 1 1 cyclo:1,0,0,0,400)",
+        f"(wz 0 0 cyclo:{1 - 2**400},0,0,0,400)",  # a scalar worth 2^-400
+    ],
+    ids=["integer-1e300", "denominator-2^400", "scalar-2^-400"],
+)
+def test_translate_of_a_large_exact_parameter_ends_quickly(tmp_path, text):
+    # the state's size is linear in the parameter's digits, and so is its time
+    f = write(tmp_path, "big.zw", text + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zxzw.cli", "translate", "--to", "zx", f],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_generated_file_corpus_round_trips(tmp_path):
     rng = random.Random(2025)
     for k in range(200):

@@ -199,6 +199,31 @@ def test_state_and_scalar_gadgets_equal_the_reference_folds():
             assert gad.unit_scalar(j, k) == reference_unit_scalar(j, k), (j, k)
 
 
+def test_state_gadgets_validate_a_constant_number_of_times(monkeypatch):
+    # each builder is one n-ary seq or ten over stages built once per call,
+    # so a larger parameter adds nodes but no validation
+    calls = []
+    validate = dg.Diagram.validate
+
+    def counted(self):
+        calls.append(1)
+        validate(self)
+
+    def count(build, arg):
+        build(*arg)  # the cached fragments are built on the first call
+        calls.clear()
+        monkeypatch.setattr(dg.Diagram, "validate", counted)
+        build(*arg)
+        monkeypatch.setattr(dg.Diagram, "validate", validate)
+        return len(calls)
+
+    assert count(gad.int_state, (10**300,)) == count(gad.int_state, (10**30,))
+    assert count(gad.int_state, (-(10**300),)) == count(gad.int_state, (-(10**30),))
+    ring = gad.ring_state
+    assert count(ring, (Cyclo(1, 0, 0, 0, 400),)) == count(ring, (Cyclo(1, 0, 0, 0, 40),))
+    assert count(gad.unit_scalar, (0, -400)) == count(gad.unit_scalar, (0, -40))
+
+
 def test_cos_plug():
     got = interp(gad.cos_plug(Fraction(1, 2)), EXACT)
     assert got == Matrix.from_rows([[SQRT2], [Cyclo(0)]])
