@@ -14,6 +14,8 @@ single product state, while any dressed merge kernel contains two.
 
 The parameter-free fragments are built once and shared: `Diagram` and
 `Gen` are immutable, so handing the same object to every caller is safe.
+The state gadgets for integer and ring parameters are each one `seq` of
+1->1 stages, so their nodes and their time grow linearly in the digits.
 """
 
 from __future__ import annotations
@@ -88,12 +90,8 @@ def unit_phase(phase: PhaseLike) -> Diagram:
 
 def unit_scalar(j: int, k: int) -> Diagram:
     """Scalar omega^j * sqrt(2)^k."""
-    out = Diagram.empty() if j % 8 == 0 else unit_phase(Fraction(j % 8, 4))
-    for _ in range(k):
-        out = out.tensor(sqrt2())
-    for _ in range(-k):
-        out = out.tensor(inv_sqrt2())
-    return out
+    phase = Diagram.empty() if j % 8 == 0 else unit_phase(Fraction(j % 8, 4))
+    return dg.ten(phase, *[sqrt2() if k > 0 else inv_sqrt2()] * abs(k))
 
 
 @functools.cache
@@ -229,35 +227,38 @@ def _two_state() -> Diagram:
     return dg.seq(dg.z(0, 1, 0), dg.flip(triangle()))
 
 
-def int_state(n: int) -> Diagram:
-    """State (1, n) for an integer n, in O(log |n|) nodes.
+def _stage(state: Diagram, join: Diagram) -> Diagram:
+    """The 1->1 map joining (1, x) with the state (1, s) by the 2->1 `join`:
+    `w_add` gives (1, x + s) and a z merge (1, x * s)."""
+    return dg.seq(dg.ten(wire(), state), join)
 
-    Horner's rule over the binary digits of |n|: each further digit doubles
-    the state by a z merge with (1, 2), and a 1 digit then adds the sign
-    unit (1, +-1) with `w_add`.  The leading value 1, 2 or 3 is a unary sum
-    of units, which is smaller than its Horner form.
+
+def int_state(n: int) -> Diagram:
+    """State (1, n) for an integer n, in O(log |n|) nodes and time.
+
+    Horner's rule over the binary digits of |n|, as one `seq` of 1->1
+    stages: each further digit doubles by a z merge with (1, 2), and a 1
+    digit then adds the sign unit (1, +-1) with `w_add`.  The leading
+    value 1, 2 or 3 is a unary sum of units, smaller than its Horner form.
     """
     if n == 0:
         return zero_state()
     unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
+    add, double = _stage(unit, w_add()), _stage(_two_state(), dg.z(2, 1, 0))
     digits = bin(abs(n))[2:]
-    out = unit
-    for _ in range(int(digits[:2], 2) - 1):
-        out = dg.seq(dg.ten(out, unit), w_add())
+    stages = [add] * (int(digits[:2], 2) - 1)
     for digit in digits[2:]:
-        out = dg.seq(dg.ten(out, _two_state()), dg.z(2, 1, 0))
-        if digit == "1":
-            out = dg.seq(dg.ten(out, unit), w_add())
-    return out
+        stages += [double, add] if digit == "1" else [double]
+    return dg.seq(unit, *stages)
 
 
 def ring_state(r) -> Diagram:
-    """State (1, r) for any r in Z[1/2][omega].
+    """State (1, r) for any r in Z[1/2][omega], as one `seq` of 1->1 stages.
 
     The four omega components are built by phasing integer states, added
     with the w addition node, and the dyadic denominator is divided out by
     z-merging with copies of (1, 1/2) (the z merge multiplies second
-    components).
+    components).  Nodes and time are linear in the digits of r.
     """
     r = r if isinstance(r, Cyclo) else Cyclo(int(r))
     parts = []
@@ -270,12 +271,8 @@ def ring_state(r) -> Diagram:
         parts.append(s)
     if not parts:
         return zero_state()
-    out = parts[0]
-    for s in parts[1:]:
-        out = dg.seq(dg.ten(out, s), w_add())
-    for _ in range(r.e):
-        out = dg.seq(dg.ten(out, half_state()), dg.z(2, 1, 0))
-    return out
+    adds = [_stage(s, w_add()) for s in parts[1:]]
+    return dg.seq(parts[0], *adds, *[_stage(half_state(), dg.z(2, 1, 0))] * r.e)
 
 
 def complex_scalar(value: complex) -> Diagram:
