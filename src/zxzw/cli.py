@@ -16,7 +16,7 @@ import sys
 from . import rewrite
 from . import rules
 from . import translate as tr
-from .diagrams import Diagram, DiagramError, MissingVariable
+from .diagrams import Diagram, DiagramError
 from .dsl import DslError, parse, print_diagram
 from .matrices import Matrix
 from .rings import Cyclo
@@ -122,10 +122,7 @@ def _cmd_eval(args) -> int:
             f"{args.file}: cannot evaluate with free variables {sorted(d.free_variables())}"
         )
     mode = _pick_mode(args, d)
-    try:
-        m = interp(d, mode)
-    except MissingVariable as e:
-        raise InputError(str(e)) from None
+    m = interp(d, mode)
     exact = isinstance(mode, Exact)
     if args.json:
         print(json.dumps(matrix_json(d, m, exact), indent=2))
@@ -308,10 +305,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DslError, DiagramError, ArgumentError) as e:
+    except (InputError, DslError, DiagramError, ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

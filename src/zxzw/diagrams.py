@@ -275,47 +275,46 @@ class Diagram:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def generator(gen: Gen, tag: Optional[str] = None) -> "Diagram":
-        tag = tag or _KIND_TAG[gen.kind]
+    def generator(gen: Gen) -> "Diagram":
         edges = [(("i", k), ("n", 0, k)) for k in range(gen.n_in)]
         edges += [(("n", 0, gen.n_in + j), ("o", j)) for j in range(gen.n_out)]
-        return Diagram(tag, (gen,), edges, gen.n_in, gen.n_out)
+        return Diagram(_KIND_TAG[gen.kind], (gen,), edges, gen.n_in, gen.n_out)
 
     @staticmethod
-    def identity(n: int = 1, tag: Optional[str] = None) -> "Diagram":
-        return Diagram(tag, (), [(("i", k), ("o", k)) for k in range(n)], n, n)
+    def identity(n: int = 1) -> "Diagram":
+        return Diagram(None, (), [(("i", k), ("o", k)) for k in range(n)], n, n)
 
     @staticmethod
-    def permutation(perm: Iterable[int], tag: Optional[str] = None) -> "Diagram":
+    def permutation(perm: Iterable[int]) -> "Diagram":
         """Wire crossing sending input k to output perm[k]."""
         perm = list(perm)
         if sorted(perm) != list(range(len(perm))):
             raise DiagramError(f"not a permutation: {perm}")
         return Diagram(
-            tag, (), [(("i", k), ("o", p)) for k, p in enumerate(perm)], len(perm), len(perm)
+            None, (), [(("i", k), ("o", p)) for k, p in enumerate(perm)], len(perm), len(perm)
         )
 
     @staticmethod
-    def swap(tag: Optional[str] = None) -> "Diagram":
-        return Diagram.permutation([1, 0], tag)
+    def swap() -> "Diagram":
+        return Diagram.permutation([1, 0])
 
     @staticmethod
-    def cup(tag: Optional[str] = None) -> "Diagram":
+    def cup() -> "Diagram":
         """The 2->0 wire bend (row vector <00| + <11|)."""
-        return Diagram(tag, (), [(("i", 0), ("i", 1))], 2, 0)
+        return Diagram(None, (), [(("i", 0), ("i", 1))], 2, 0)
 
     @staticmethod
-    def cap(tag: Optional[str] = None) -> "Diagram":
+    def cap() -> "Diagram":
         """The 0->2 wire bend (column vector |00> + |11>)."""
-        return Diagram(tag, (), [(("o", 0), ("o", 1))], 0, 2)
+        return Diagram(None, (), [(("o", 0), ("o", 1))], 0, 2)
 
     @staticmethod
-    def empty(tag: Optional[str] = None) -> "Diagram":
-        return Diagram(tag, (), [], 0, 0)
+    def empty() -> "Diagram":
+        return Diagram(None, (), [], 0, 0)
 
     @staticmethod
-    def circle(count: int = 1, tag: Optional[str] = None) -> "Diagram":
-        return Diagram(tag, (), [], 0, 0, loops=count)
+    def circle(count: int = 1) -> "Diagram":
+        return Diagram(None, (), [], 0, 0, loops=count)
 
     # -- compositions --------------------------------------------------------
 
@@ -608,21 +607,6 @@ def color_swap(d: Diagram) -> Diagram:
         return None
 
     return graft(d, replace, d.tag)
-
-
-def rotate_cross_ports(d: Diagram, node: int, k: int = 1) -> Diagram:
-    """Rotate the four wires of a zw crossing one cyclic step (times k)."""
-    if d.nodes[node].kind != CROSS:
-        raise DiagramError(f"node {node} is not a crossing")
-    pos = {p: i for i, p in enumerate(CROSS_CYCLE)}
-
-    def rot(end):
-        if end[0] == "n" and end[1] == node:
-            return ("n", node, CROSS_CYCLE[(pos[end[2]] + k) % 4])
-        return end
-
-    edges = [tuple(map(rot, e)) for e in d.edges]
-    return Diagram(d.tag, d.nodes, edges, d.n_in, d.n_out, d.loops)
 
 
 # -- graph isomorphism --------------------------------------------------------

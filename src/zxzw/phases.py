@@ -152,13 +152,11 @@ class Phase:
                 out = out + Phase.var(v, n)
         return out
 
-    def to_float(self, binding: Mapping[str, float] | None = None) -> float:
-        """Value in radians; every variable must be bound (to radians)."""
+    def to_float(self) -> float:
+        """Value in radians of a constant phase; a variable raises ValueError."""
+        if self.terms:
+            raise ValueError(f"unbound phase variable {self.terms[0][0]!r}")
         x = float(self.const) * math.pi if self.is_exact else self.const
-        for v, n in self.terms:
-            if binding is None or v not in binding:
-                raise ValueError(f"unbound phase variable {v!r}")
-            x += n * binding[v]
         return math.fmod(x, TWO_PI)
 
     # -- formatting ------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 
 from zxzw import diagrams as dg
 from zxzw import gadgets as gad
-from zxzw.diagrams import CalculusMismatch, Diagram, DiagramError, Gen
+from zxzw.diagrams import CROSS, CROSS_CYCLE, CalculusMismatch, Diagram, DiagramError, Gen
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rings import Cyclo
@@ -114,6 +114,21 @@ def shuffled_copy(d: Diagram, rng: random.Random) -> Diagram:
 
     edges = [tuple(map(lift, e)) for e in d.edges]
     return Diagram(d.tag, nodes, edges, d.n_in, d.n_out, d.loops)
+
+
+def rotate_cross_ports(d: Diagram, node: int, k: int = 1) -> Diagram:
+    """Rotate the four wires of a zw crossing one cyclic step (times k)."""
+    if d.nodes[node].kind != CROSS:
+        raise DiagramError(f"node {node} is not a crossing")
+    pos = {p: i for i, p in enumerate(CROSS_CYCLE)}
+
+    def rot(end):
+        if end[0] == "n" and end[1] == node:
+            return ("n", node, CROSS_CYCLE[(pos[end[2]] + k) % 4])
+        return end
+
+    edges = [tuple(map(rot, e)) for e in d.edges]
+    return Diagram(d.tag, d.nodes, edges, d.n_in, d.n_out, d.loops)
 
 
 def as_array(m) -> np.ndarray:

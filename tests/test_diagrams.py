@@ -18,13 +18,12 @@ from zxzw.diagrams import (
     flip,
     graft,
     iso_equal,
-    rotate_cross_ports,
     seq,
     ten,
 )
 from zxzw.phases import Phase
 
-from helpers import random_diagram, reference_validate, shuffled_copy
+from helpers import random_diagram, reference_validate, rotate_cross_ports, shuffled_copy
 
 
 # -- construction and validation ----------------------------------------------
@@ -52,12 +51,13 @@ def test_dangling_ports_rejected():
 
 
 def test_calculus_tag_restricts_kinds():
+    wired = [(("i", 0), ("n", 0, 0)), (("n", 0, 1), ("o", 0))]
     with pytest.raises(CalculusMismatch):
-        Diagram.generator(Gen("TRI", 1, 1, None, 1), tag="zx")
+        Diagram("zx", (Gen("TRI", 1, 1, None, 1),), wired, 1, 1)
     with pytest.raises(CalculusMismatch):
-        Diagram.generator(Gen("W11", 1, 1), tag="zx")
+        Diagram("zx", (Gen("W11", 1, 1),), wired, 1, 1)
     with pytest.raises(DiagramError):
-        Diagram(None, (Gen("H", 1, 1),), [(("i", 0), ("n", 0, 0)), (("n", 0, 1), ("o", 0))], 1, 1)
+        Diagram(None, (Gen("H", 1, 1),), wired, 1, 1)
 
 
 def test_revalidation_is_stable():
@@ -446,7 +446,7 @@ def test_replace_nodes_fuses_a_pair_across_cut_wires():
 def test_replace_nodes_closes_wires_into_loops():
     closed = seq(Diagram.cap(), ten(dg.z(1, 1), Diagram.identity(1)), Diagram.cup())
     out = dg.replace_nodes(closed, [((0,), Diagram.identity(1), [("n", 0, 0), ("n", 0, 1)])])
-    assert out == Diagram.circle(1, "zx")
+    assert out == Diagram("zx", (), (), 0, 0, loops=1)
 
 
 @pytest.mark.parametrize(

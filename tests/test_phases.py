@@ -89,4 +89,4 @@ def test_format_dsl():
 def test_to_float_requires_binding():
     with pytest.raises(ValueError):
         Phase.var("a").to_float()
-    assert Phase.var("a").to_float({"a": 1.5}) == pytest.approx(1.5)
+    assert Phase.var("a").substitute({"a": 1.5}).to_float() == pytest.approx(1.5)

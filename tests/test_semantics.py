@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_array, matmul, random_diagram, shuffled_copy
+from helpers import as_array, matmul, random_diagram, rotate_cross_ports, shuffled_copy
 from test_acceptance import criterion_9_pairs
 from zxzw import diagrams as dg
 from zxzw import semantics
 from zxzw import translate as tr
-from zxzw.diagrams import ArityMismatch, Diagram, Gen, flip, iso_equal, rotate_cross_ports, seq, ten
+from zxzw.diagrams import ArityMismatch, Diagram, Gen, flip, iso_equal, seq, ten
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rewrite import simplify
