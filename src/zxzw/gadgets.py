@@ -14,8 +14,7 @@ single product state, while any dressed merge kernel contains two.
 
 The parameter-free fragments are built once and shared: `Diagram` and
 `Gen` are immutable, so handing the same object to every caller is safe.
-The state gadgets for integer and ring parameters are each one `seq` of
-1->1 stages, so their nodes and their time grow linearly in the digits.
+Each state gadget is one `seq` of 1->1 stages, linear in the digits.
 """
 
 from __future__ import annotations
@@ -228,8 +227,7 @@ def _two_state() -> Diagram:
 
 
 def _stage(state: Diagram, join: Diagram) -> Diagram:
-    """The 1->1 map joining (1, x) with the state (1, s) by the 2->1 `join`:
-    `w_add` gives (1, x + s) and a z merge (1, x * s)."""
+    """The 1->1 map (1, x) -> (1, x + s) by `w_add`, or (1, x * s) by a z merge."""
     return dg.seq(dg.ten(wire(), state), join)
 
 
@@ -244,7 +242,8 @@ def int_state(n: int) -> Diagram:
     if n == 0:
         return zero_state()
     unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
-    add, double = _stage(unit, w_add()), _stage(_two_state(), dg.z(2, 1, 0))
+    add = _stage(unit, w_add()) if abs(n) > 1 else None  # built only when used
+    double = _stage(_two_state(), dg.z(2, 1, 0)) if abs(n) > 3 else None
     digits = bin(abs(n))[2:]
     stages = [add] * (int(digits[:2], 2) - 1)
     for digit in digits[2:]:
@@ -271,8 +270,10 @@ def ring_state(r) -> Diagram:
         parts.append(s)
     if not parts:
         return zero_state()
-    adds = [_stage(s, w_add()) for s in parts[1:]]
-    return dg.seq(parts[0], *adds, *[_stage(half_state(), dg.z(2, 1, 0))] * r.e)
+    stages = [_stage(s, w_add()) for s in parts[1:]]
+    if r.e:
+        stages += [_stage(half_state(), dg.z(2, 1, 0))] * r.e
+    return dg.seq(parts[0], *stages)
 
 
 def complex_scalar(value: complex) -> Diagram:

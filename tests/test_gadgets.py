@@ -209,19 +209,19 @@ def test_state_gadgets_validate_a_constant_number_of_times(monkeypatch):
         calls.append(1)
         validate(self)
 
-    def count(build, arg):
-        build(*arg)  # the cached fragments are built on the first call
+    def count(build, *args):
+        build(*args)  # the cached fragments are built on the first call
         calls.clear()
         monkeypatch.setattr(dg.Diagram, "validate", counted)
-        build(*arg)
+        build(*args)
         monkeypatch.setattr(dg.Diagram, "validate", validate)
         return len(calls)
 
-    assert count(gad.int_state, (10**300,)) == count(gad.int_state, (10**30,))
-    assert count(gad.int_state, (-(10**300),)) == count(gad.int_state, (-(10**30),))
+    assert count(gad.int_state, 10**300) == count(gad.int_state, 10**30)
+    assert count(gad.int_state, -(10**300)) == count(gad.int_state, -(10**30))
     ring = gad.ring_state
-    assert count(ring, (Cyclo(1, 0, 0, 0, 400),)) == count(ring, (Cyclo(1, 0, 0, 0, 40),))
-    assert count(gad.unit_scalar, (0, -400)) == count(gad.unit_scalar, (0, -40))
+    assert count(ring, Cyclo(1, 0, 0, 0, 400)) == count(ring, Cyclo(1, 0, 0, 0, 40))
+    assert count(gad.unit_scalar, 0, -400) == count(gad.unit_scalar, 0, -40)
 
 
 def test_cos_plug():
