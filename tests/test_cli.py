@@ -220,6 +220,16 @@ def test_meaningless_numeric_option_is_one_error_line(tmp_path, args, message):
     assert message in proc.stderr
 
 
+def test_eq_refuses_negative_samples_on_variable_free_diagrams(tmp_path):
+    # no valuation is sampled here, but the option is still meaningless
+    e = write(tmp_path, "e.zx", "(Z 1 1 pi/4)\n")
+    proc = subprocess.run([sys.executable, "-m", "zxzw.cli", "eq", e, e, "--samples", "-5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: samples must be non-negative, got -5\n"
+
+
 def test_float_pair_is_equal_at_the_default_tolerance(tmp_path, capsys):
     a, b = (write(tmp_path, f"{k}.zx", t) for k, t in enumerate(FLOAT_PAIR))
     assert main(["eq", a, b]) == 0
