@@ -20,7 +20,9 @@ from .diagrams import Diagram, DiagramError
 from .dsl import DslError, parse, print_diagram
 from .matrices import Matrix
 from .rings import Cyclo
-from .semantics import EXACT, ArgumentError, Exact, Float, best_mode, eq_linear, eq_semantic, exact_eligible, interp
+from .semantics import (
+    EXACT, ArgumentError, Exact, Float, best_mode, check_count, eq_linear, eq_semantic, exact_eligible, interp,
+)
 
 
 # `eval` prints all 2^(inputs + outputs) entries of a matrix, so it refuses
@@ -134,6 +136,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_eq(args) -> int:
+    check_count("samples", args.samples)
     d1, d2 = _load(args.a), _load(args.b)
     if d1.shape != d2.shape:
         print(f"not equal: shapes {d1.shape} vs {d2.shape} differ")
