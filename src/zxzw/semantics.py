@@ -319,11 +319,16 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
     from `gen_entries(g)` over the scalar ring with unit `one`, to a map
     from (row, col) to the nonzero entries of its matrix.
 
-    An X spider enters as its definition: a Z tensor on inner labels of
-    its own, then one Hadamard per leg in port order, port 0 on the leg's
-    wire and port 1 on the inner label."""
+    An X spider enters as its definition: a Z tensor, then one Hadamard
+    per leg in port order, port 0 on the leg's wire and port 1 on the Z
+    tensor's leg.  Up to arity 4 that network is contracted once per
+    generator object and call, and the spider enters as one tensor: its
+    2^k entries are then no more than the network's 2 + 4k.  A wider X
+    spider enters as the network itself, a Z tensor on inner labels of its
+    own and a Hadamard per leg, so that the greedy order can merge each
+    Hadamard into a neighbour instead of building 2^k entries."""
     # label every wire by its index, or by the boundary port it reaches;
-    # an X spider's inner labels count on from the last wire index
+    # a wide X spider's inner labels count on from the last wire index
     tensors = []
     port_labels = [[None] * g.arity for g in d.nodes]
     for idx, (a, b) in enumerate(d.edges):
@@ -335,20 +340,30 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
         for end in (a, b):
             if end[0] == "n":
                 port_labels[end[1]][end[2]] = lab
-    # each generator object's tensor (an X spider's: its Z tensor) is built
-    # once; keyed by identity, as hashing a Gen's phase costs more than
-    # rebuilding the few equal generators that are distinct objects
+    # each generator object's tensor (a wide X spider's: its Z tensor) is
+    # built once; keyed by identity, as hashing a Gen's phase costs more
+    # than rebuilding the few equal generators that are distinct objects
     built: dict = {}
 
     def tensor(g: Gen) -> dict:
         ent = built.get(id(g))
         if ent is None:
-            ent = built[id(g)] = gen_entries(Gen(Z, g.n_in, g.n_out, g.phase) if g.kind == X else g)
+            if g.kind != X:
+                ent = gen_entries(g)
+            else:
+                ent = gen_entries(Gen(Z, g.n_in, g.n_out, g.phase))
+                k = g.arity
+                if k <= 4:
+                    # leg i's Hadamard replaces label i by k + i at the end
+                    legs = tuple(range(k))
+                    for i in range(k):
+                        legs, ent = _contract_pair(legs, ent, (k + i, i), tensor(_HADAMARD))
+            built[id(g)] = ent
         return ent
 
     inner = len(d.edges)
     for i, g in enumerate(d.nodes):
-        if g.kind != X:
+        if g.kind != X or g.arity <= 4:
             tensors.append(_self_trace(tuple(port_labels[i]), tensor(g)))
             continue
         legs = tuple(range(inner, inner + g.arity))

@@ -126,6 +126,64 @@ def test_x_spider_wired_to_the_boundary_and_inside():
         assert interp(red) == interp(green)
 
 
+def _tensor_counts(monkeypatch):
+    """The number of tensors in each `_contract_all` call from now on."""
+    counts = []
+    real = semantics._contract_all
+
+    def counted(tensors):
+        counts.append(len(tensors))
+        return real(tensors)
+
+    monkeypatch.setattr(semantics, "_contract_all", counted)
+    return counts
+
+
+def test_small_x_spider_enters_the_contraction_as_one_tensor(monkeypatch):
+    counts = _tensor_counts(monkeypatch)
+    for n in range(5):
+        for m in range(5 - n):
+            interp(dg.x(n, m, Fraction(1, 4)))
+            interp(dg.x(n, m, 0.3), FLOAT)
+    eq_linear(dg.x(2, 2, Phase.var("a")), dg.x(2, 2, Phase.var("a")), samples=0)
+    assert counts == [1] * 32
+
+
+def test_wide_x_spider_enters_the_contraction_as_its_definition(monkeypatch):
+    counts = _tensor_counts(monkeypatch)
+    for n in range(6):
+        interp(dg.x(n, 5 - n, Fraction(1, 4)))
+    interp(dg.x(2, 3, 0.3), FLOAT)
+    eq_linear(dg.x(2, 3, Phase.var("a")), dg.x(2, 3, Phase.var("a")), samples=0)
+    assert counts == [1 + 5] * 9
+
+
+def test_wide_x_spider_closed_by_costates_stays_cheap():
+    # one tensor for the red spider would hold 2^20 entries
+    start = time.perf_counter()
+    m = interp(seq(dg.x(0, 20, 0), ten(*[dg.z(1, 0, 0)] * 20)))
+    assert time.perf_counter() - start < 1.0
+    assert m.entries == {(0, 0): 1024}
+
+
+def test_small_x_spider_on_a_self_loop_is_its_definition():
+    for a in [Fraction(k, 4) for k in range(8)] + [0.3]:
+        mode = EXACT if isinstance(a, Fraction) else FLOAT
+        looped = seq(Diagram.cap(), dg.x(2, 1, a))
+        got, want = interp(looped, mode), interp(seq(Diagram.cap(), _x_as_definition(2, 1, a)), mode)
+        assert got == want if mode == EXACT else got.close(want, FLOAT.tol)
+    a = Phase.var("a")
+    assert eq_linear(seq(Diagram.cap(), dg.x(2, 1, a)),
+                     seq(Diagram.cap(), _x_as_definition(2, 1, a)), samples=5, seed=0).proved
+
+
+def test_small_x_spider_with_a_phase_variable_is_its_definition():
+    a = Phase.var("a")
+    assert eq_linear(dg.x(2, 2, a), _x_as_definition(2, 2, a), samples=5, seed=0).proved
+    shifted = eq_linear(dg.x(2, 2, a), _x_as_definition(2, 2, a + Phase.PI), samples=5, seed=0)
+    assert not shifted.equal and not shifted.proved
+
+
 def test_interp_builds_no_diagram(monkeypatch):
     a = Phase.var("a")
     reds = seq(dg.z(1, 2, Fraction(1, 4)), dg.x(2, 1, Fraction(1, 2)), dg.x(1, 1, 0.3))
