@@ -8,11 +8,13 @@ tolerance at all.
 
 The interpreter contracts sparse generator tensors along the edge list,
 eliminating at each step the pair of tensors whose merge leaves the fewest
-open wires.  There is no pre-pass: a red spider enters the network as its
-definition, a green spider's tensor with a Hadamard tensor on every leg,
-and no diagram is rebuilt.  The result is a `matrices.Matrix` for every
-boundary size: the nonzero entries that the contraction leaves, keyed by
-(row, column).
+open wires.  There is no pre-pass and no diagram is rebuilt: a red spider
+is its definition, a green spider's tensor with a Hadamard tensor on every
+leg.  Up to arity 4 that definition is contracted once per generator
+object and call, and the spider enters the network as one tensor; a wider
+one enters with a Hadamard per leg.  The result is a `matrices.Matrix` for
+every boundary size: the nonzero entries that the contraction leaves,
+keyed by (row, column).
 
 A tensor keeps its nonzero entries keyed by 0/1 tuples, one slot per leg.
 A pair contraction reads the shared and the kept slots of each key with
@@ -156,7 +158,7 @@ def _gen_entries(g: Gen, exact: bool) -> dict:
     if g.kind == TRI:
         r = _param_value(g.param, exact)
         return {(0, 0): one, (1, 0): r, (1, 1): one}
-    raise SemanticsError(f"no tensor for generator kind {g.kind}")  # X: see _contract_diagram
+    raise SemanticsError(f"no tensor for generator kind {g.kind}")  # X: from Z and H in _contract_diagram
 
 
 _HADAMARD = Gen(H, 1, 1)
