@@ -230,6 +230,23 @@ def test_eq_refuses_negative_samples_on_variable_free_diagrams(tmp_path):
     assert proc.stderr == "error: samples must be non-negative, got -5\n"
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--tol", "nan"], "error: tol must be finite and non-negative, got nan\n"),
+        (["--samples", "-5"], "error: samples must be non-negative, got -5\n"),
+    ],
+    ids=["tol", "samples"],
+)
+def test_eq_refuses_meaningless_options_when_shapes_differ(tmp_path, option, message):
+    a, b = write(tmp_path, "a.zx", "(Z 1 1 0)\n"), write(tmp_path, "b.zx", "(Z 1 2 0)\n")
+    proc = subprocess.run([sys.executable, "-m", "zxzw.cli", "eq", a, b, *option],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == message
+
+
 def test_float_pair_is_equal_at_the_default_tolerance(tmp_path, capsys):
     a, b = (write(tmp_path, f"{k}.zx", t) for k, t in enumerate(FLOAT_PAIR))
     assert main(["eq", a, b]) == 0
