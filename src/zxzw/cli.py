@@ -21,7 +21,8 @@ from .dsl import DslError, parse, print_diagram
 from .matrices import Matrix
 from .rings import Cyclo
 from .semantics import (
-    EXACT, ArgumentError, Exact, Float, best_mode, check_count, eq_linear, eq_semantic, exact_eligible, interp,
+    EXACT, ArgumentError, Exact, Float, best_mode, check_count, check_tol, eq_linear, eq_semantic,
+    exact_eligible, interp,
 )
 
 
@@ -136,6 +137,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_eq(args) -> int:
+    check_tol(args.tol)
     check_count("samples", args.samples)
     d1, d2 = _load(args.a), _load(args.b)
     if d1.shape != d2.shape:
