@@ -356,7 +356,8 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
                 ent = gen_entries(Gen(Z, g.n_in, g.n_out, g.phase))
                 k = g.arity
                 if k <= 4:
-                    # leg i's Hadamard replaces label i by k + i at the end
+                    # leg i's Hadamard takes label i and leaves k + i as the
+                    # last leg, so the legs end in port order
                     legs = tuple(range(k))
                     for i in range(k):
                         legs, ent = _contract_pair(legs, ent, (k + i, i), tensor(_HADAMARD))
