@@ -54,6 +54,11 @@ def test_z_spider_scalar():
     assert interp(dg.z(0, 0, 1)) == M([[0]])
 
 
+def test_float_phase_factor_is_exact_on_the_grid():
+    # e^{i pi/2} is 1j on the nose, not 6.1e-17+1j
+    assert interp(dg.z(1, 1, Fraction(1, 2)), FLOAT)[1, 1] == 1j
+
+
 def test_z_spider_ghz_shape():
     m = interp(dg.z(2, 1, Fraction(1, 2)))
     assert m == M([[1, 0, 0, 0], [0, 0, 0, W(2)]])
