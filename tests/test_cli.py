@@ -49,6 +49,12 @@ def test_eval_float_flag_and_exact_refusal(tmp_path, capsys):
     assert main(["eval", f, "--exact"]) == 2
 
 
+def test_eval_float_of_a_grid_phase_prints_exact_parts(tmp_path, capsys):
+    f = write(tmp_path, "s.zx", "(Z 1 1 pi/2)\n")
+    assert main(["eval", f, "--float"]) == 0
+    assert capsys.readouterr().out == "1 -> 1  [float]\n1  0\n0  0+1i\n"
+
+
 def test_eval_input_errors(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "missing.zx")]) == 2
     bad = write(tmp_path, "bad.zx", "(seq id\n")
@@ -436,6 +442,19 @@ def test_translate_of_a_large_exact_parameter_ends_quickly(tmp_path, text):
         timeout=10,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_translate_of_a_large_triangle_parameter_ends_quickly(tmp_path):
+    # a triangle maps to three zw nodes, whatever its parameter
+    f = write(tmp_path, "big.zx", f"(tri {'9' * 300})\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zxzw.cli", "translate", "--to", "zw", f],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.encode()) < 1000
 
 
 def test_generated_file_corpus_round_trips(tmp_path):

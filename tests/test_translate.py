@@ -63,9 +63,42 @@ def test_hadamard_translation_preserves_semantics():
     assert eq_semantic(dg.h(), tr.zx_to_zw(dg.h()))
 
 
-def test_zx_to_zw_rejects_float_phase():
-    with pytest.raises(tr.TranslateError):
-        tr.zx_to_zw(dg.z(1, 1, 0.3))
+def test_zx_to_zw_translates_float_phases():
+    # an off-grid phase becomes a white node worth e^{i alpha}, so the
+    # round trip is float-equal to its input
+    for d in (
+        dg.z(1, 1, 0.3),
+        dg.x(2, 1, 0.3),
+        dg.tri(0.5 + 0.25j),
+        dg.seq(
+            dg.z(1, 2, 0.3),
+            dg.ten(dg.h(), dg.x(1, 1, 0.7)),
+            dg.x(2, 1, 1.1),
+            dg.tri(0.5 + 0.25j),
+        ),
+    ):
+        want = as_array(interp(d, FLOAT))
+        got = as_array(interp(tr.round_trip(d), FLOAT))
+        assert np.abs(got - want).max() <= 1e-9, d
+
+
+@pytest.mark.parametrize(
+    "r",
+    [0, 1, -2, 10, 10**300, 0.5, 1 + 1j, Cyclo(1, 2, 0, 0, 3)],
+    ids=["0", "1", "-2", "10", "1e300", "0.5", "1+1j", "cyclo"],
+)
+def test_zx_to_zw_maps_a_triangle_to_its_zw_image(r):
+    assert tr.zx_to_zw(dg.tri(r)) == tr.zw_triangle(r)
+
+
+def test_zxt_round_trip_is_exact():
+    """Exact round trip of 100 random diagrams with triangles."""
+    rng = random.Random(5)
+    for _ in range(100):
+        n_in = rng.randrange(4)
+        n_out = rng.randrange(4 - n_in)
+        d = random_diagram(rng, n_in=n_in, n_out=n_out, tag="zxt", max_nodes=6)
+        assert interp(d, EXACT) == interp(tr.round_trip(d), EXACT)
 
 
 def test_zx_to_zw_rejects_free_variables():
