@@ -114,13 +114,20 @@ def best_mode(*ds: Diagram, tol: float = 1e-9) -> InterpMode:
 # from 0/1 assignment tuples to ring/complex values.
 
 
+def phase_value(phase):
+    """e^{i phase} of a constant phase: omega^k on the pi/4 grid, a float
+    complex elsewhere."""
+    k = phase.omega_exponent()
+    return cmath.exp(1j * phase.to_float()) if k is None else Cyclo.omega_power(k)
+
+
 def _phase_factor(phase, exact: bool):
+    v = phase_value(phase)  # free variables were refused before
+    if v.__class__ is Cyclo:
+        return v if exact else v.to_complex()
     if exact:
-        k = phase.omega_exponent()
-        if k is None:  # free variables were refused before
-            raise SemanticsError(f"phase {phase!r} is not an exact multiple of pi/4")
-        return Cyclo.omega_power(k)
-    return cmath.exp(1j * phase.to_float())
+        raise SemanticsError(f"phase {phase!r} is not an exact multiple of pi/4")
+    return v
 
 
 def _param_value(param, exact: bool):
