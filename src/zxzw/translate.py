@@ -7,8 +7,9 @@ monoidal functors by construction, and semantics preservation reduces to
 checking each fragment against its generator — which the tests do exactly.
 
 Scalars are never normalised away: every fragment matches its generator on
-the nose, so a round trip preserves the interpretation exactly, global
-scalar included.
+the nose, global scalar included, so a round trip preserves the
+interpretation exactly for exact input and within float precision for
+float phases and parameters.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import gadgets as gad
 from .diagrams import CROSS, H, HALF, TRI, W11, W12, WZ, X, Z, Diagram, Gen
 from .phases import Phase, PhaseLike
 from .rings import Cyclo, INV_SQRT2
+from .semantics import phase_value
 
 
 class TranslateError(Exception):
@@ -67,40 +69,30 @@ def _white_scalar(value: Cyclo) -> Diagram:
     return dg.white(0, 0, value - Cyclo(1))
 
 
-def _omega_exp(g: Gen) -> int:
-    k = g.phase.omega_exponent()
-    if k is None:
-        if g.phase.variables():
-            raise TranslateError(
-                f"free phase variables {sorted(g.phase.variables())}"
-            )
-        raise TranslateError(f"phase {g.phase!r} is not a multiple of pi/4")
-    return k % 8
-
-
 def zx_to_zw(d: Diagram) -> Diagram:
-    """Translate a pi/4 zx diagram into the half-scalar w calculus.
+    """Translate a variable-free zx diagram, triangles allowed, into zw.
 
-    Green spiders become white nodes with the unit parameter omega^k; the
-    hadamard becomes the sqrt(2)*H fragment paired with a scalar white node
-    worth 1/sqrt(2); red spiders are green spiders in a hadamard sandwich,
-    so they map to the white node wrapped in those fragments.  Triangles
-    are expanded into plain spiders first.
+    A spider of phase alpha becomes a white node worth e^{i alpha}: omega^k
+    on the pi/4 grid, a float complex elsewhere.  The hadamard becomes the
+    sqrt(2)*H fragment with a scalar white node worth 1/sqrt(2); a red
+    spider is a green one in a hadamard sandwich, and a triangle of
+    parameter r is zw_triangle(r).
     """
     if d.tag not in (None, "zx", "zxt"):
         raise TranslateError(f"expected a zx diagram, got tag {d.tag!r}")
-    if any(g.kind == TRI for g in d.nodes):
-        d = expand_triangle(d)
-
+    if d.free_variables():
+        raise TranslateError(f"free phase variables {sorted(d.free_variables())}")
     inv_had_scalar = _white_scalar(INV_SQRT2)
 
     def replace(g: Gen):
         if g.kind == Z:
-            return dg.white(g.n_in, g.n_out, Cyclo.omega_power(_omega_exp(g)))
+            return dg.white(g.n_in, g.n_out, phase_value(g.phase))
         if g.kind == H:
             return _had_zw().tensor(inv_had_scalar)
+        if g.kind == TRI:
+            return zw_triangle(g.param)
         if g.kind == X:
-            core = dg.white(g.n_in, g.n_out, Cyclo.omega_power(_omega_exp(g)))
+            core = dg.white(g.n_in, g.n_out, phase_value(g.phase))
             if g.n_in:
                 core = dg.ten(*[_had_zw()] * g.n_in).then(core)
             if g.n_out:
@@ -215,7 +207,8 @@ def zw_to_zx(d: Diagram) -> Diagram:
 
 
 def round_trip(d: Diagram) -> Diagram:
-    """zw_to_zx(zx_to_zw(d)); interpretation-preserving, exactly."""
+    """zw_to_zx(zx_to_zw(d)); interpretation-preserving, exactly for exact
+    input and within float precision otherwise."""
     return zw_to_zx(zx_to_zw(d))
 
 
@@ -298,7 +291,8 @@ def _triangle_zx(r) -> Diagram:
 
 
 def expand_triangle(d: Diagram) -> Diagram:
-    """Replace every triangle node by its plain-spider construction."""
+    """Replace every triangle node by its plain-spider construction; the
+    translation maps a triangle straight to zw_triangle instead."""
     if not any(g.kind == TRI for g in d.nodes):
         return d
 

@@ -240,8 +240,8 @@ GOLDEN = [
         '(seq (ten id cap cap cap) (perm 0 1 4 2 5 3 6) (ten (Z 1 1 pi/2) (tri 1) (tri -1) (X 1 1 pi) id id id) (perm 1 3 5 0 2 4 6) (ten id cup cup cup))',
         [('identity-removal', 2)],
         (
-            '3ba37615b4eefa92f9ea206cda0a6a1908b68bfb9c527426413a2f866759eaa8',
-            '39690fe5f419e70b295decf5f286eaf696566bfbd41cc92e3fd3c021a8e58d3d',
+            'f876c0c9255c60ac55cbc9509ad220a4d0e0adaeb5f3fa0c4ce7c711a0b15c34',
+            '27536a257289ddfdfbef09dbd2eb688c0bd3dc758d166fe2aadae461447fca4e',
             '931482eb3b5218d8afb4cf3987a1fc8a5f86ff7836953709210cea488c1d6d0b',
             '80e0d17a2527961a488609a69aa6e615fe03696b57b93316687beb232839e796',
         ),
