@@ -115,19 +115,16 @@ def best_mode(*ds: Diagram, tol: float = 1e-9) -> InterpMode:
 
 
 def phase_value(phase):
-    """e^{i phase} of a constant phase: omega^k on the pi/4 grid, a float
-    complex elsewhere."""
+    """e^{i phase}: omega^k on the pi/4 grid, a float complex elsewhere."""
     k = phase.omega_exponent()
     return cmath.exp(1j * phase.to_float()) if k is None else Cyclo.omega_power(k)
 
 
 def _phase_factor(phase, exact: bool):
     v = phase_value(phase)  # free variables were refused before
-    if v.__class__ is Cyclo:
-        return v if exact else v.to_complex()
-    if exact:
+    if exact and v.__class__ is not Cyclo:
         raise SemanticsError(f"phase {phase!r} is not an exact multiple of pi/4")
-    return v
+    return v if exact or v.__class__ is complex else v.to_complex()
 
 
 def _param_value(param, exact: bool):
