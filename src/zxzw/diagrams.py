@@ -494,9 +494,10 @@ def replace_nodes(d: Diagram, groups, cut=(), tag: Optional[str] = None) -> Diag
     """Rebuild `d`, tagged `tag` (`d.tag` if None), with groups of nodes
     replaced by fragments, in one splice.
 
-    Each group is (nodes, fragment, ports).  Its nodes are removed, and the
-    fragment's nodes take the place of the lowest of them.  The fragment's
-    k-th boundary (inputs first, then outputs) takes over the wire at the
+    Each group is (nodes, fragment, ports), the fragment a diagram or a
+    bare `Gen`.  Its nodes are removed, and the fragment's nodes take the
+    place of the lowest of them.  The fragment's k-th boundary, or a Gen's
+    k-th port (inputs first, then outputs), takes over the wire at the
     removed port `ports[k]`, so wires through the fragment join up and
     closed ones become loops.  The wires of `d` listed in `cut` are deleted.
     Every port of a removed node must be in `ports` or at an end of a cut
@@ -519,11 +520,17 @@ def replace_nodes(d: Diagram, groups, cut=(), tag: Optional[str] = None) -> Diag
         raise DiagramError(f"port {stray[0]!r} is not exactly one fragment port or cut wire end")
     frags = {min(nodes): (frag, ports) for nodes, frag, ports in groups}
     parts = []
+    taken = {}  # a removed port -> the port of a bare Gen that takes its wire over
     new: dict[int, int] = {}
     count = 0
     for i, g in enumerate(d.nodes):
         if i in frags:
             frag, ports = frags[i]
+            if isinstance(frag, Gen):
+                taken.update((end, ("n", count, k)) for k, end in enumerate(ports))
+                parts.append(frag)
+                count += 1
+                continue
             ends = [("j", *end[1:]) for end in ports]
             parts.append((frag, ends[: frag.n_in], ends[frag.n_in :]))
             count += len(frag.nodes)
@@ -535,7 +542,9 @@ def replace_nodes(d: Diagram, groups, cut=(), tag: Optional[str] = None) -> Diag
     def lift(end):
         if end[0] != "n":
             return end
-        return ("j", *end[1:]) if end[1] in owner else ("n", new[end[1]], end[2])
+        if end[1] not in owner:
+            return ("n", new[end[1]], end[2])
+        return taken.get(end) or ("j", *end[1:])
 
     cut = set(cut)
     wiring = [(lift(a), lift(b)) for a, b in d.edges if (a, b) not in cut]
@@ -549,7 +558,8 @@ def graft(d: Diagram, replace, tag: Optional[str]) -> Diagram:
 
     `replace(gen)` returns None to keep the node, a `Gen` of the same arity
     to relabel it in place, or a diagram of the same shape whose boundaries
-    are spliced into the original wiring by `replace_nodes`.
+    are spliced into the original wiring.  With any diagram, one
+    `replace_nodes` call splices those and each relabelling `Gen` as it is.
     """
     reps = [replace(g) for g in d.nodes]
     for g, r in zip(d.nodes, reps):
@@ -562,7 +572,7 @@ def graft(d: Diagram, replace, tag: Optional[str]) -> Diagram:
         nodes = [g if r is None else r for g, r in zip(d.nodes, reps)]
         return Diagram(tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
     groups = [
-        ((i,), r if isinstance(r, Diagram) else Diagram.generator(r), [("n", i, p) for p in range(g.arity)])
+        ((i,), r, [("n", i, p) for p in range(g.arity)])
         for i, (g, r) in enumerate(zip(d.nodes, reps))
         if r is not None
     ]

@@ -449,6 +449,46 @@ def test_replace_nodes_closes_wires_into_loops():
     assert out == Diagram("zx", (), (), 0, 0, loops=1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["zx", "zxt", "zw"]))
+def test_replace_nodes_takes_a_bare_gen_as_its_one_node_diagram(seed, tag):
+    rng = random.Random(seed)
+    d = random_diagram(rng, tag=tag, max_nodes=5)
+
+    def both(nodes, g, ports, cut=()):
+        via_diagram = dg.replace_nodes(d, [(nodes, Diagram.generator(g), ports)], cut=cut)
+        assert dg.replace_nodes(d, [(nodes, g, ports)], cut=cut) == via_diagram
+
+    for i, g in enumerate(d.nodes):
+        ports = [("n", i, p) for p in range(g.arity)]
+        rng.shuffle(ports)
+        both((i,), g, ports)
+    # every pair merged into one spider across the wires it shares, as a
+    # fusion does; a self-loop of either node becomes one of the merged node
+    for i in range(len(d.nodes)):
+        for j in range(i + 1, len(d.nodes)):
+            shared = [(a, b) for a, b in d.edges if (a[:2], b[:2]) == (("n", i), ("n", j))]
+            ends = {end for e in shared for end in e}
+            ports = [
+                ("n", k, p) for k in (i, j) for p in range(d.nodes[k].arity) if ("n", k, p) not in ends
+            ]
+            n_in = rng.randrange(len(ports) + 1)
+            if tag == "zw":
+                merged = Gen("WZ", n_in, len(ports) - n_in, None, 2)
+            else:
+                merged = Gen("Z", n_in, len(ports) - n_in, Phase.exact_pi(Fraction(1, 4)))
+            both((i, j), merged, ports, shared)
+
+
+def test_replace_nodes_fuses_a_closed_pair_into_a_bare_gen():
+    # the two shared wires close the pair into a cycle: the merged spider has no legs
+    d = seq(Diagram.cap(), ten(dg.z(1, 1, Fraction(1, 4)), dg.z(1, 1, Fraction(1, 4))), Diagram.cup())
+    merged = Gen("Z", 0, 0, Phase.exact_pi(Fraction(1, 2)))
+    out = dg.replace_nodes(d, [((0, 1), merged, [])], cut=d.edges)
+    assert out == dg.replace_nodes(d, [((0, 1), Diagram.generator(merged), [])], cut=d.edges)
+    assert out == dg.z(0, 0, Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "groups, cut, message",
     [
