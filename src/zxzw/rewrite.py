@@ -1,12 +1,13 @@
 """Rewriting: executable schemas, a simplifier, and proof-script checking.
 
 A schema packages a matcher (diagram -> candidate locations) with an applier
-(diagram, location -> rewritten diagram).  Appliers re-check their premise
-against the diagram they are given and raise `StaleLocation` when it no
-longer holds, so locations can be stored and replayed safely.  Every
-applier is one node replacement: it removes the matched nodes and has
-`diagrams.replace_nodes` splice the other side of the rule in along their
-ports, which also closes wires that come full circle into loops.
+(diagram, location -> rewritten diagram).  The matcher is the schema's only
+premise: a location is valid for a diagram iff `find` lists it there, and
+`apply` raises `StaleLocation` for any other, so locations can be stored and
+replayed safely.  Appliers do not re-check it.  Every applier is one node
+replacement: it removes the matched nodes and has `diagrams.replace_nodes`
+splice the other side of the rule in along their ports, which also closes
+wires that come full circle into loops.
 
 The default simplification strategy only uses node-count-decreasing schemas
 (spider fusion, identity removal, cancelling Hadamard pairs, folding scalar
@@ -16,8 +17,9 @@ are exported for opt-in strategies.
 Proof scripts are text files: a `proof NAME` line, a `set AXIOMSET` line,
 then diagram blocks separated by `by RULE[, RULE ...]` lines.  `check_proof`
 validates that consecutive steps are semantically equal (exactly, whenever
-both sides support exact evaluation; by sampling when they have phase
-variables) and that every cited rule belongs to the declared axiom set.
+both sides support exact evaluation; with phase variables, proved for every
+phase or else sampled) and that every cited rule belongs to the declared
+axiom set.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .diagrams import Diagram, Gen, WZ, Z, X, H as H_KIND, flip, h_layer, replac
 from .dsl import DslError, parse
 from .gadgets import half_scalar
 from .rings import Cyclo
-from .semantics import check_count, eq_linear, eq_semantic
+from .semantics import check_count, eq_linear, eq_semantic  # noqa: F401 (perfbench traces it here)
 
 
 class StaleLocation(ValueError):
@@ -45,7 +47,8 @@ class ProofError(ValueError):
 
 @dataclass(frozen=True)
 class Schema:
-    """A named rewrite with a matcher and an applier."""
+    """A named rewrite: `matcher(d)` lists every location where it applies,
+    and `applier(d, loc)` rewrites `d` at one of those locations only."""
 
     name: str
     matcher: Callable[[Diagram], list]
@@ -59,8 +62,10 @@ def find(schema: Schema, d: Diagram) -> list:
 
 
 def apply(schema: Schema, d: Diagram, loc) -> Diagram:
-    """Apply the schema at one location; raises StaleLocation if the
-    location does not (or no longer does) match."""
+    """Apply the schema at one location; raises StaleLocation unless `find`
+    lists the location for `d`."""
+    if loc not in schema.matcher(d):
+        raise StaleLocation(f"{schema.name} does not apply at {loc!r}")
     return schema.applier(d, loc)
 
 
@@ -78,15 +83,6 @@ def _edges_between(d: Diagram, i: int, j: int):
     """The wires joining the distinct nodes i and j."""
     lo, hi = (i, j) if i < j else (j, i)
     return [(a, b) for a, b in d.edges if a[1] == lo and b[1] == hi and a[0] == b[0] == "n"]
-
-
-def _check_node(d: Diagram, i: int, kinds) -> Gen:
-    if not (0 <= i < len(d.nodes)):
-        raise StaleLocation(f"no node {i}")
-    g = d.nodes[i]
-    if g.kind not in kinds:
-        raise StaleLocation(f"node {i} is {g.kind}, expected one of {sorted(kinds)}")
-    return g
 
 
 def _legs(d: Diagram, i: int, cut) -> tuple[list, list]:
@@ -118,23 +114,15 @@ def _fusion_sites(d: Diagram) -> list:
 
 def _fuse(d: Diagram, loc) -> Diagram:
     i, j = loc
-    if i == j:
-        raise StaleLocation("fusion needs two distinct nodes")
-    i, j = min(i, j), max(i, j)
-    gi = _check_node(d, i, _SPIDERS)
-    gj = _check_node(d, j, _SPIDERS)
-    if gi.kind != gj.kind:
-        raise StaleLocation(f"cannot fuse {gi.kind} with {gj.kind}")
+    gi, gj = d.nodes[i], d.nodes[j]
     shared = _edges_between(d, i, j)
-    if not shared:
-        raise StaleLocation(f"nodes {i} and {j} share no wire")
     (ins_i, outs_i), (ins_j, outs_j) = _legs(d, i, shared), _legs(d, j, shared)
     ins, outs = ins_i + ins_j, outs_i + outs_j
     if gi.kind == WZ:
         merged = Gen(WZ, len(ins), len(outs), None, _param_mul(gi.param, gj.param))
     else:
         merged = Gen(gi.kind, len(ins), len(outs), gi.phase + gj.phase)
-    return replace_nodes(d, [((i, j), Diagram.generator(merged), ins + outs)], cut=shared)
+    return replace_nodes(d, [((i, j), merged, ins + outs)], cut=shared)
 
 
 FUSION = Schema("fusion", _fusion_sites, _fuse)
@@ -152,9 +140,6 @@ def _identity_sites(d: Diagram) -> list:
 
 
 def _remove_identity(d: Diagram, i) -> Diagram:
-    g = _check_node(d, i, (Z, X))
-    if (g.n_in, g.n_out) != (1, 1) or not g.phase.is_zero:
-        raise StaleLocation(f"node {i} is not a phase-free 1->1 spider")
     # a spider whose two legs are joined becomes a closed circle
     return replace_nodes(d, [((i,), Diagram.identity(1), [("n", i, 0), ("n", i, 1)])])
 
@@ -172,12 +157,6 @@ def _h_cancel_sites(d: Diagram) -> list:
 
 def _cancel_h(d: Diagram, loc) -> Diagram:
     i, j = loc
-    if i == j:
-        raise StaleLocation("needs two distinct Hadamards")
-    _check_node(d, i, (H_KIND,))
-    _check_node(d, j, (H_KIND,))
-    if not _edges_between(d, i, j):
-        raise StaleLocation(f"nodes {i} and {j} share no wire")
     # each Hadamard becomes a plain wire; an H pair closed on itself is a
     # circle, trace(id) = 2
     ports = [("n", i, 0), ("n", j, 0), ("n", i, 1), ("n", j, 1)]
@@ -216,18 +195,8 @@ def _scalar_sites(d: Diagram) -> list:
 
 
 def _merge_scalars(d: Diagram, loc) -> Diagram:
-    if loc[0] == "two":
-        i = loc[1]
-        g = _check_node(d, i, (Z, X))
-        if not _is_dot(g, 0):
-            raise StaleLocation(f"node {i} is not a phase-free scalar spider")
-        return replace_nodes(d, [((i,), Diagram.circle(1), [])])
-    _, i, j = loc
-    gi = _check_node(d, i, (Z, X))
-    gj = _check_node(d, j, (Z, X))
-    if not (_is_dot(gi, Fraction(1, 2)) and _is_dot(gj, Fraction(3, 2))):
-        raise StaleLocation("expected a +pi/2 and a -pi/2 scalar spider")
-    return replace_nodes(d, [((i, j), Diagram.circle(1), [])])
+    # 1 + 1 = 2 and (1 + i)(1 - i) = 2: either is one circle
+    return replace_nodes(d, [(loc[1:], Diagram.circle(1), [])])
 
 
 SCALAR_MERGE = Schema("scalar-merge", _scalar_sites, _merge_scalars)
@@ -247,14 +216,7 @@ def _hopf_sites(d: Diagram) -> list:
 
 def _apply_hopf(d: Diagram, loc) -> Diagram:
     i, j = loc
-    if not (0 <= i < len(d.nodes) and 0 <= j < len(d.nodes)) or i == j:
-        raise StaleLocation(f"bad node pair ({i}, {j})")
-    if {d.nodes[i].kind, d.nodes[j].kind} != {Z, X}:
-        raise StaleLocation("needs one Z and one X spider")
-    shared = _edges_between(d, i, j)
-    if len(shared) < 2:
-        raise StaleLocation(f"nodes {i} and {j} share fewer than two wires")
-    cut = sorted(shared)[:2]
+    cut = sorted(_edges_between(d, i, j))[:2]
     (ins_i, outs_i), (ins_j, outs_j) = _legs(d, i, cut), _legs(d, j, cut)
     gi, gj = d.nodes[i], d.nodes[j]
     frag = ten(
@@ -276,7 +238,7 @@ def _colour_sites(d: Diagram) -> list:
 
 
 def _change_colour(d: Diagram, i) -> Diagram:
-    g = _check_node(d, i, (X,))
+    g = d.nodes[i]
     # the right side of rule H, with every Hadamard's port 0 on the outer wire
     green = Diagram.generator(Gen(Z, g.n_in, g.n_out, g.phase))
     frag = seq(h_layer(g.n_in), green, flip(h_layer(g.n_out)))
@@ -301,7 +263,7 @@ def simplify(d: Diagram, strategy=DEFAULT_STRATEGY, fuel: Optional[int] = None):
         for schema in strategy:
             locs = find(schema, d)
             if locs:
-                d = apply(schema, d, locs[0])
+                d = schema.applier(d, locs[0])  # find just listed it
                 trace.append((schema.name, locs[0]))
                 break
         else:
@@ -326,7 +288,7 @@ class ProofResult:
     axiom_set: str
     n_steps: int
     failures: tuple[dict, ...]
-    sampled_steps: int = 0  # transitions with phase variables, checked by sampling
+    sampled_steps: int = 0  # transitions with phase variables, not proved but sampled
 
     @property
     def ok(self) -> bool:
@@ -391,9 +353,10 @@ def parse_proof(text: str) -> ProofScript:
 def check_proof(script: ProofScript, seed: int = 0) -> ProofResult:
     """Semantic check of a proof: consecutive steps must be equal (exact
     arithmetic whenever possible) and cited rules must be in the declared
-    axiom set.  Steps with free phase variables are compared by
-    `eq_linear` with `seed`, which is evidence rather than proof; those
-    transitions are counted in `sampled_steps`."""
+    axiom set.  Each transition is one `eq_linear` call with `seed`.  A
+    transition with free phase variables that it does not prove for every
+    phase is evidence rather than proof, and is counted in
+    `sampled_steps`."""
     axioms = _rules.axiom_set(script.axiom_set)
     known = {r.name for r in axioms}
     failures = []
@@ -410,12 +373,10 @@ def check_proof(script: ProofScript, seed: int = 0) -> ProofResult:
                 {"step": k, "reason": f"shape changed from {lhs.shape} to {rhs.shape}"}
             )
             continue
-        if lhs.free_variables() or rhs.free_variables():
+        res = eq_linear(lhs, rhs, seed=seed)
+        if not res.proved and (lhs.free_variables() or rhs.free_variables()):
             sampled += 1
-            equal = eq_linear(lhs, rhs, seed=seed).equal
-        else:
-            equal = eq_semantic(lhs, rhs)
-        if not equal:
+        if not res.equal:
             failures.append({"step": k, "reason": "sides are not semantically equal"})
     return ProofResult(
         script.name, script.axiom_set, len(script.steps), tuple(failures), sampled

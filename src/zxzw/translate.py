@@ -264,41 +264,3 @@ def gn_inverse(alpha: PhaseLike) -> Diagram:
             dress = dress.tensor(gad.half_scalar())
     return dg.ten(gad.dot(beta), dress, gad.unit_phase(-(a + beta) / 2.0))
 
-
-# -- triangle expansion ----------------------------------------------------------
-
-
-def _triangle_zx(r) -> Diagram:
-    """[[1, r],[0, 1]] in plain spiders: not, (1, r) plug, w merge."""
-    if isinstance(r, Cyclo):
-        if r.is_zero():
-            return Diagram.identity(1)
-        cls = r.sqrt2_power_class()
-        if cls == (0, 0):
-            return gad.triangle()
-        if cls is not None and cls[1] == 0:
-            k = cls[0]
-            return dg.seq(
-                dg.z(1, 1, Fraction(k, 4)),
-                gad.triangle(),
-                dg.z(1, 1, Fraction(-k, 4)),
-            )
-    return dg.seq(
-        dg.x(1, 1, 1),
-        dg.ten(_plug_state(r), gad.wire()),
-        gad.w21_zx(),
-    )
-
-
-def expand_triangle(d: Diagram) -> Diagram:
-    """Replace every triangle node by its plain-spider construction; the
-    translation maps a triangle straight to zw_triangle instead."""
-    if not any(g.kind == TRI for g in d.nodes):
-        return d
-
-    def replace(g: Gen):
-        if g.kind != TRI:
-            return None
-        return _triangle_zx(g.param)
-
-    return dg.graft(d, replace, "zx")

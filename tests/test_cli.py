@@ -342,12 +342,19 @@ def test_check_proof_json(tmp_path, capsys):
 
 def test_check_proof_with_phase_variables(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZXZW_SEED", "7")
+    # exact constants: the step is proved for every phase
     f = write(tmp_path, "var.zxp", "proof var\nset zx-pi2\n(seq (Z 1 1 a) (Z 1 1 0))\nby S\n(Z 1 1 a)\n")
     assert main(["check-proof", f]) == 0
+    assert capsys.readouterr().out == "proof var (zx-pi2, 2 steps): PASS\n"
+    assert main(["check-proof", f, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sampled_steps"] == 0
+    # a float constant: the step is only sampled
+    g = write(tmp_path, "fvar.zxp", "proof var\nset zx-pi2\n(seq (Z 1 1 a) (Z 1 1 0.5))\nby S\n(Z 1 1 a+0.5)\n")
+    assert main(["check-proof", g]) == 0
     assert capsys.readouterr().out == (
         "proof var (zx-pi2, 2 steps): PASS [1 steps checked by sampling: evidence, not proof]\n"
     )
-    assert main(["check-proof", f, "--json"]) == 0
+    assert main(["check-proof", g, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["sampled_steps"] == 1
 
 

@@ -291,23 +291,26 @@ def test_td_oracle_sanity():
     assert np.allclose(td_oracle(0.5 + 0.25j), [[1, 0.5 + 0.25j], [0, 1]])
 
 
+# a triangle reaches plain ZX spiders through its round trip, the path the
+# CLI runs: zw_triangle, then each ZW generator's ZX image
+
+
 def test_triangle_zero_law_exact():
-    e = tr.expand_triangle(dg.tri(0))
+    e = tr.round_trip(dg.tri(0))
     assert interp(e, EXACT) == Matrix.from_rows([[1, 0], [0, 1]])
-    assert len(e.nodes) == 0  # a bare wire
 
 
 def test_triangle_one_expansion():
-    e = tr.expand_triangle(dg.tri(1))
+    e = tr.round_trip(dg.tri(1))
     assert e.tag == "zx"
     assert interp(e, EXACT) == Matrix.from_rows([[1, 1], [0, 1]])
 
 
 def test_triangle_tan_pi8_exact():
-    # sqrt2 - 1 = tan(pi/8) admits an exact expansion
+    # sqrt2 - 1 = tan(pi/8) is in the ring, so the round trip is exact
     r = Cyclo(-1, 1, 0, -1)  # -1 + w - w^3 = sqrt2 - 1
     assert abs(r.to_complex() - (math.sqrt(2) - 1)) < 1e-12
-    e = tr.expand_triangle(dg.tri(r))
+    e = tr.round_trip(dg.tri(r))
     assert interp(e, EXACT) == interp(dg.tri(r), EXACT)
 
 
@@ -321,7 +324,7 @@ def test_triangle_tan_pi8_exact():
 @settings(max_examples=30, deadline=None)
 def test_triangle_expansion_exact_ring(a, b, c, d, e):
     r = Cyclo(a, b, c, d, e)
-    ex = tr.expand_triangle(dg.tri(r))
+    ex = tr.round_trip(dg.tri(r))
     assert interp(ex, EXACT) == interp(dg.tri(r), EXACT)
 
 
@@ -329,23 +332,23 @@ def test_triangle_expansion_exact_ring(a, b, c, d, e):
 @settings(max_examples=50, deadline=None)
 @example(2 + 5e-324j)  # a subnormal imaginary part
 def test_triangle_expansion_matches_td_oracle(r):
-    got = as_array(interp(tr.expand_triangle(dg.tri(r)), FLOAT))
+    got = as_array(interp(tr.round_trip(dg.tri(r)), FLOAT))
     assert np.allclose(got, td_oracle(r), atol=1e-9)
 
 
-def test_expand_triangle_inside_context():
+def test_triangle_round_trip_inside_context():
     d = dg.seq(dg.z(1, 2, Fraction(1, 4)), dg.ten(dg.tri(Cyclo(1, 1)), dg.h()))
-    e = tr.expand_triangle(d)
+    e = tr.round_trip(d)
     assert e.tag == "zx"
     assert not any(g.kind == dg.TRI for g in e.nodes)
     assert eq_semantic(d, e)
 
 
-def test_expand_triangle_traced_wire_becomes_loop():
+def test_traced_triangle_round_trip_is_worth_two():
     from zxzw.gadgets import trace1
 
     d = trace1(dg.tri(0))
-    e = tr.expand_triangle(d)
+    e = tr.round_trip(d)
     assert interp(e, EXACT)[0, 0] == Cyclo(2)
 
 
