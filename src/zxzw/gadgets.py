@@ -12,8 +12,8 @@ what the w nodes need.  The addition node [[1,0,0,0],[0,1,1,0]] cannot be
 written as spider-merge of dressed wires at all: its kernel contains a
 single product state, while any dressed merge kernel contains two.
 
-The parameter-free fragments are built once and shared: `Diagram` and
-`Gen` are immutable, so handing the same object to every caller is safe.
+Parameter-free fragments are built once and shared (`Diagram` and `Gen` are
+immutable), each compound one with at most one scalar part (`unit_scalar`).
 Each state gadget is one `seq` of 1->1 stages, linear in the digits.
 """
 
@@ -27,6 +27,7 @@ from . import diagrams as dg
 from .diagrams import Diagram
 from .phases import Phase, PhaseLike
 from .rings import Cyclo
+from .semantics import EXACT, interp
 
 
 def wire() -> Diagram:
@@ -88,12 +89,52 @@ def unit_phase(phase: PhaseLike) -> Diagram:
 
 
 def unit_scalar(j: int, k: int) -> Diagram:
-    """Scalar omega^j * sqrt(2)^k."""
-    phase = Diagram.empty() if j % 8 == 0 else unit_phase(Fraction(j % 8, 4))
-    return dg.ten(phase, *[sqrt2() if k > 0 else inv_sqrt2()] * abs(k))
+    """Scalar omega^j * sqrt(2)^k, exactly, in at most three nodes for k >= 1.
+
+    A z spider of phase j*pi/4 carries omega^j; its legs end on x costates
+    of phase pi, an n-legged one worth sqrt(2)^(2 - n) for odd n.  The rest
+    of the power is closed loops (2) or two-node halves.
+    """
+    legs = [1 if k > 0 else 3] + [1] * ((k + 1) % 2) if j % 8 or k % 2 else []
+    k -= sum(2 - n for n in legs)
+    costates = [dg.x(n, 0, 1) for n in legs]
+    star = [dg.seq(dg.z(0, sum(legs), Fraction(j % 8, 4)), dg.ten(*costates))] if legs else []
+    half = dg.seq(dg.z(0, 3, Fraction(1, 4)), dg.x(3, 0, Fraction(-1, 4)))
+    return dg.ten(*star, circles(max(k, 0) // 2), *[half] * (max(-k, 0) // 2))
 
 
-@functools.cache
+def _gadget(build):
+    """Cache a parameter-free gadget, its scalar part compacted once.
+
+    The nodes no boundary wire reaches (union-find over the wires) give way
+    to `unit_scalar` of their exact value omega^j sqrt(2)^k if that is smaller.
+    """
+
+    @functools.cache
+    @functools.wraps(build)
+    def cached() -> Diagram:
+        d = build()
+        n = len(d.nodes)  # index n stands for the boundary
+        root = list(range(n + 1))
+
+        def find(i):
+            return i if root[i] == i else find(root[i])
+
+        for a, b in d.edges:
+            root[find(a[1] if a[0] == "n" else n)] = find(b[1] if b[0] == "n" else n)
+        rest = [i for i in range(n) if find(i) != find(n)]
+        index = {i: m for m, i in enumerate(rest)}
+        cut = [(a, b) for a, b in d.edges if a[0] == "n" and a[1] in index]
+        wires = [(("n", index[a[1]], a[2]), ("n", index[b[1]], b[2])) for a, b in cut]
+        value = interp(Diagram(d.tag, [d.nodes[i] for i in rest], wires, 0, 0), EXACT)[0, 0]
+        cls = value.sqrt2_power_class() if rest else None
+        small = dg.replace_nodes(d, [(rest, unit_scalar(*cls), [])], cut) if cls else d
+        return small if len(small.nodes) < n else d
+
+    return cached
+
+
+@_gadget
 def cnot() -> Diagram:
     """Controlled not, control on wire 0: copy the control, merge the target."""
     body = dg.seq(
@@ -103,24 +144,24 @@ def cnot() -> Diagram:
     return body.tensor(sqrt2())
 
 
-@functools.cache
+@_gadget
 def cnot_down() -> Diagram:
     """Controlled not, control on wire 1."""
     return dg.seq(Diagram.swap(), cnot(), Diagram.swap())
 
 
-@functools.cache
+@_gadget
 def cz() -> Diagram:
     return dg.seq(dg.ten(wire(), dg.h()), cnot(), dg.ten(wire(), dg.h()))
 
 
-@functools.cache
+@_gadget
 def crossing() -> Diagram:
     """The braiding of the w calculus, built as cz followed by a swap."""
     return dg.seq(cz(), Diagram.swap())
 
 
-@functools.cache
+@_gadget
 def triangle() -> Diagram:
     """The 1->1 map [[1,1],[0,1]] from plain pi/4 spiders.
 
@@ -151,7 +192,7 @@ def triangle() -> Diagram:
     )
 
 
-@functools.cache
+@_gadget
 def w_add() -> Diagram:
     """The 2->1 addition node [[1,0,0,0],[0,1,1,0]].
 
@@ -167,19 +208,19 @@ def w_add() -> Diagram:
     )
 
 
-@functools.cache
+@_gadget
 def w_split() -> Diagram:
     """The 1->2 node sending |0> to |00> and |1> to |01> + |10>."""
     return dg.flip(w_add())
 
 
-@functools.cache
+@_gadget
 def w21_zx() -> Diagram:
     """The 2->1 w node [[0,1,1,0],[1,0,0,0]] in pi/4 spiders."""
     return dg.seq(w_add(), dg.x(1, 1, 1))
 
 
-@functools.cache
+@_gadget
 def w12_zx() -> Diagram:
     """The 1->2 w node [[0,1],[1,0],[1,0],[0,0]] in pi/4 spiders."""
     return dg.flip(w21_zx())
@@ -207,23 +248,22 @@ def tan_state(a: PhaseLike) -> Diagram:
     )
 
 
-@functools.cache
+@_gadget
 def zero_state() -> Diagram:
     """State (1, 0)."""
     return dg.ten(dg.x(0, 1, 0), half_scalar(), sqrt2())
 
 
-@functools.cache
+@_gadget
 def half_state() -> Diagram:
-    """State (1, 1/2): add two ones, swap the components, halve."""
-    two = dg.seq(dg.ten(dg.z(0, 1, 0), dg.z(0, 1, 0)), w_add())
-    return dg.seq(two, dg.x(1, 1, 1)).tensor(half_scalar())
+    """State (1, 1/2): two plugs sqrt(2) (1, cos pi/4) z-merged to (2, 1), halved."""
+    return dg.seq(dg.ten(*[cos_plug(Fraction(1, 4))] * 2), dg.z(2, 1, 0)).tensor(half_scalar())
 
 
-@functools.cache
+@_gadget
 def _two_state() -> Diagram:
-    """State (1, 2): the flipped triangle [[1,0],[1,1]] adds one to (1, 1)."""
-    return dg.seq(dg.z(0, 1, 0), dg.flip(triangle()))
+    """State (1, 2): the same z merge (2, 1) with its components swapped."""
+    return dg.seq(dg.ten(*[cos_plug(Fraction(1, 4))] * 2), dg.z(2, 1, 0), dg.x(1, 1, 1))
 
 
 def _stage(state: Diagram, join: Diagram) -> Diagram:

@@ -288,7 +288,7 @@ class ProofResult:
     axiom_set: str
     n_steps: int
     failures: tuple[dict, ...]
-    sampled_steps: int = 0  # transitions with phase variables, not proved but sampled
+    sampled_steps: int = 0  # passing transitions with phase variables, sampled, not proved
 
     @property
     def ok(self) -> bool:
@@ -354,9 +354,9 @@ def check_proof(script: ProofScript, seed: int = 0) -> ProofResult:
     """Semantic check of a proof: consecutive steps must be equal (exact
     arithmetic whenever possible) and cited rules must be in the declared
     axiom set.  Each transition is one `eq_linear` call with `seed`.  A
-    transition with free phase variables that it does not prove for every
-    phase is evidence rather than proof, and is counted in
-    `sampled_steps`."""
+    transition with free phase variables that passes without a proof for
+    every phase is evidence rather than proof, and is counted in
+    `sampled_steps`; a refuted one comes with a falsifying valuation."""
     axioms = _rules.axiom_set(script.axiom_set)
     known = {r.name for r in axioms}
     failures = []
@@ -374,7 +374,7 @@ def check_proof(script: ProofScript, seed: int = 0) -> ProofResult:
             )
             continue
         res = eq_linear(lhs, rhs, seed=seed)
-        if not res.proved and (lhs.free_variables() or rhs.free_variables()):
+        if res.equal and not res.proved and (lhs.free_variables() or rhs.free_variables()):
             sampled += 1
         if not res.equal:
             failures.append({"step": k, "reason": "sides are not semantically equal"})

@@ -1,6 +1,6 @@
 """Shared test utilities: random diagram generation, matrices as numpy
 arrays for the oracles that compare against them, and reference builders
-for the state and scalar gadgets."""
+for the state gadgets."""
 
 import random
 from collections import Counter
@@ -147,18 +147,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 # -- reference gadget builders -------------------------------------------------
-# The pairwise folds that built the state and scalar gadgets before each
+# The pairwise folds that built the state gadgets before each
 # became one n-ary `seq` or `ten`: the reference for the diagram (nodes,
 # node order, edges and loops) that each builder returns.
-
-
-def reference_unit_scalar(j: int, k: int) -> Diagram:
-    out = Diagram.empty() if j % 8 == 0 else gad.unit_phase(Fraction(j % 8, 4))
-    for _ in range(k):
-        out = out.tensor(gad.sqrt2())
-    for _ in range(-k):
-        out = out.tensor(gad.inv_sqrt2())
-    return out
 
 
 def reference_int_state(n: int) -> Diagram:

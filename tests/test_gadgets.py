@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_array, reference_int_state, reference_ring_state, reference_unit_scalar
+from helpers import as_array, reference_int_state, reference_ring_state
 from zxzw import diagrams as dg
 from zxzw import gadgets as gad
 from zxzw.matrices import Matrix
@@ -71,13 +71,24 @@ def test_unit_phase(k):
     assert scalar_of(gad.unit_phase(Fraction(k, 4))) == Cyclo.omega_power(k)
 
 
-@given(st.integers(0, 7), st.integers(-3, 3))
-@settings(max_examples=30, deadline=None)
-def test_unit_scalar(j, k):
+def omega_sqrt2(j, k):
     want = Cyclo.omega_power(j)
     for _ in range(abs(k)):
         want = want * SQRT2 if k > 0 else want * INV_SQRT2
-    assert scalar_of(gad.unit_scalar(j, k)) == want
+    return want
+
+
+@given(st.integers(0, 7), st.integers(-3, 3))
+@settings(max_examples=30, deadline=None)
+def test_unit_scalar(j, k):
+    assert scalar_of(gad.unit_scalar(j, k)) == omega_sqrt2(j, k)
+
+
+def test_unit_scalar_powers_of_two_are_loops_or_halves():
+    # values and the k >= 1 bound are checked next to the reference folds
+    assert gad.unit_scalar(0, 6) == gad.circles(3)
+    assert gad.unit_scalar(8, -4).loops == 0 and len(gad.unit_scalar(8, -4).nodes) == 4
+    assert len(gad.unit_scalar(0, -1).nodes) == 2
 
 
 CNOT = Matrix.from_rows(
@@ -154,10 +165,57 @@ def test_int_state_size_is_logarithmic():
         assert len(gad.int_state(n).nodes) <= bound, n
 
 
+def _scalar_parts(d):
+    """The connected components of `d` that no boundary wire reaches."""
+    root = list(range(len(d.nodes) + 1))  # the last index is the boundary
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for a, b in d.edges:
+        root[find(a[1] if a[0] == "n" else -1)] = find(b[1] if b[0] == "n" else -1)
+    return {find(i) for i in range(len(d.nodes))} - {find(-1)}
+
+
+# the exact matrices of the compacted gadgets, as built before compaction
+COMPACTED = {
+    "cnot": CNOT.to_rows(),
+    "cnot_down": CNOT_DOWN.to_rows(),
+    "cz": CZ.to_rows(),
+    "crossing": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+    "triangle": [[1, 1], [0, 1]],
+    "w_add": [[1, 0, 0, 0], [0, 1, 1, 0]],
+    "w_split": [[1, 0], [0, 1], [0, 1], [0, 0]],
+    "w21_zx": [[0, 1, 1, 0], [1, 0, 0, 0]],
+    "w12_zx": [[0, 1], [1, 0], [1, 0], [0, 0]],
+    "zero_state": [[1], [0]],
+    "half_state": [[1], [Cyclo(1, 0, 0, 0, 1)]],
+    "_two_state": [[1], [2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPACTED))
+def test_compacted_gadgets_keep_their_matrix_and_one_scalar_part(name):
+    d = getattr(gad, name)()
+    assert interp(d, EXACT) == Matrix.from_rows(COMPACTED[name])
+    assert len(_scalar_parts(d)) <= 1
+
+
+def test_compacted_gadget_sizes():
+    # node counts before: 25, 30, 30, 31, 31, 11, 41 and 26 (the last two
+    # were built on w_add and the triangle, not on two cos plugs)
+    sizes = {"triangle": 17, "w_add": 21, "w_split": 21, "w21_zx": 22, "w12_zx": 22,
+             "zero_state": 3, "half_state": 9, "_two_state": 8}
+    for name, size in sizes.items():
+        assert len(getattr(gad, name)().nodes) <= size, name
+
+
 @pytest.mark.parametrize(
     "name",
     ["sqrt2", "half_scalar", "inv_sqrt2", "cnot", "cnot_down", "cz", "crossing", "triangle",
-     "w_add", "w_split", "w21_zx", "w12_zx", "zero_state", "half_state"],
+     "w_add", "w_split", "w21_zx", "w12_zx", "zero_state", "half_state", "_two_state"],
 )
 def test_parameter_free_fragments_are_built_once(name):
     build = getattr(gad, name)
@@ -194,9 +252,11 @@ def test_state_and_scalar_gadgets_equal_the_reference_folds():
     ]
     for r in [*cyclos, 0, 7, -3, Cyclo(0, 0, 0, 5), Cyclo(1, 0, 0, 0, 12)]:
         assert gad.ring_state(r) == reference_ring_state(r), r
+    # unit_scalar is no fold: exact, and at most four nodes for k >= 1
     for j in range(-3, 11):
         for k in range(-9, 10):
-            assert gad.unit_scalar(j, k) == reference_unit_scalar(j, k), (j, k)
+            assert scalar_of(gad.unit_scalar(j, k)) == omega_sqrt2(j, k), (j, k)
+            assert k < 1 or len(gad.unit_scalar(j, k).nodes) <= 4, (j, k)
 
 
 def test_state_gadgets_validate_a_constant_number_of_times(monkeypatch):

@@ -219,7 +219,7 @@ GOLDEN = [
         [('h-cancel', (0, 1))],
         (
             '85e763f9642a449cf8bfead9733a15575d29e8524602c6891f73e3cb9d18909c',
-            '8122d037be72cfb0f0804191474998e0c9d2f4238158f699dcc5b10e25b2bd7f',
+            'a69e7a8ee6a82d8ae2391e12295de99e24e1bc27d98f0ae2dadea82d5b8241c2',
             'd1970945a0e7d01cd038f5948dd5ee1f4efa86fa7e4dc414d27c2ddae3f0f781',
         ),
     ),
@@ -229,7 +229,7 @@ GOLDEN = [
         [('h-cancel', (0, 1))],
         (
             '18fab543333ae4c23eb43a5e3f64485d021a4c2b7e0ea3ccc484b0863c64822a',
-            '7096c3b9ec7a59ac4be7ce6a5c9a99491a516c47ef540890bf3987cdf47849da',
+            'c265cb5a57a0f2603273072240b444c0fc37a8f448fb0d97e37bb019143b220e',
             '6b6ec5572c4d5aca60b289adf8fa6ff70d0955879124a110299d5740f2e0b544',
         ),
     ),
@@ -259,7 +259,7 @@ GOLDEN = [
         [('fusion', (0, 2)), ('fusion', (0, 2))],
         (
             '4be53f1b32e00d120c56166565a72ff3b25f6d739ec797f1ad4f1adf859c0e7b',
-            '2ad4ab2e3947b3378ec72f0bb1e46914968bc48acef57ccb8233070b51b5c96c',
+            '23475218f14bcd943d2b31df4e0eeb2cd272f648a305318e020dadd637ca9006',
             '2e0ec85e071ca5e52a853c92d3ccc626533b6b532ecc591abaa06a2877e89036',
         ),
     ),
@@ -268,7 +268,7 @@ GOLDEN = [
         '(seq (ten id cap) (ten (wz 1 1 cyclo:0,-2,0,0,0) (W 1 1) id) (perm 1 0 2) (ten id cup))',
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
-            '5ec6761a3509bd887dc75b0e921f3531470e8dd0de01e2e23e91016b3c082700',
+            '497e5c87c6ba589da36c28efd5792ef964bbb55d5ba52dbffc77755a6e5217c7',
             None,
             None,
         ),
@@ -278,7 +278,7 @@ GOLDEN = [
         '(seq (ten id cap cap cap cap cap) (perm 0 1 6 2 7 3 8 4 9 5 10) (ten (wz 1 1 1) (W 1 2) (wz 1 1 2) (wz 1 1 3) (zw-cross) id id id id id) (perm 2 4 6 8 10 0 1 3 5 7 9 11) (ten id id cup cup cup cup cup))',
         [],
         (
-            'eb6ff764641620791604b7d9509a853633b389961898def82bcd85ee64f4d30e',
+            'f0c2cf4509139844f015c077d54c3627361ef8f9017ea3ba2f0fbf289b9af863',
             None,
             None,
         ),
@@ -289,7 +289,7 @@ GOLDEN = [
         [('identity-removal', 2)],
         (
             'f876c0c9255c60ac55cbc9509ad220a4d0e0adaeb5f3fa0c4ce7c711a0b15c34',
-            '27536a257289ddfdfbef09dbd2eb688c0bd3dc758d166fe2aadae461447fca4e',
+            '2b54b4014d7079539f729c676a5bb0a0c4828d82dfee7f3a974bec86a452b8f4',
             '931482eb3b5218d8afb4cf3987a1fc8a5f86ff7836953709210cea488c1d6d0b',
         ),
     ),
@@ -299,7 +299,7 @@ GOLDEN = [
         [('identity-removal', 0), ('identity-removal', 1)],
         (
             'ccc2f455a4fb6602b763c5043060d137eeeb1042e754b1f5bf0826e6bf989711',
-            '8ce7ecdb8f892419a7ec8c95c647ffb60a1e87f447606755029fcfd20eff0eb9',
+            'aa4fe32ad1b03504eddb4a96628c93421feec9fb3b2c511c88a2ad0d88587dae',
             '4c242769fb40dddafa87b01085af1960905541721596352eaf9f5793ae67478d',
         ),
     ),
@@ -309,7 +309,7 @@ GOLDEN = [
         [('h-cancel', (1, 2))],
         (
             '6a9a44f013534e7468b4b03c30789276b3b45effc74ef414af10cb98b36fda31',
-            '633d542af7302709e3f0ba09b55408598af518eb8e7141d9556e313518409460',
+            '6381b871e0370a6a2c5bdf32b76ca581014c5a35668b042bc06bb9df27e703d1',
             '920d6d3f56a133db7a60e65de86a4ca1fd00f86ec6aab64476bee737d77c73fe',
         ),
     ),
@@ -319,7 +319,7 @@ GOLDEN = [
         [('h-cancel', (0, 3)), ('h-cancel', (0, 1))],
         (
             '91d1fa2ca80eeb0a8f9a4dacb5ba89ce3c43ccd43d5beb7d5307fc740d6636e0',
-            '3dac315ca491521c822985b09a88ededf714ff4fb40da80a6a88b3765ad5e874',
+            '7e6ea8525a5b93849f118f74de423ca4ee0b8286dcd612c316dba7ecdfcc95ec',
             '242f5c7f9fd9c7dcaa69b6e48d8e923a09b6f829545d0d708f8e310f9537ef3b',
         ),
     ),
@@ -329,7 +329,7 @@ GOLDEN = [
         [('fusion', (1, 2)), ('fusion', (1, 2)), ('h-cancel', (0, 2))],
         (
             '0d31fe150e098044ed95be50a32bec8736481eac016e2114f7c72a9a50bdd914',
-            'bb13c837b9b951150df498f8c9d19e880e967a86aa2067b360fe5ae3c2e379c0',
+            '5ddeab8281f410cfe8de48ba91908ec8647d675412a5228d36f4beabef50ec93',
             '290e04818e095d6af003e643ea103e8f6980e12b8d23eddc9fbc9492a8c959cf',
         ),
     ),
@@ -339,7 +339,7 @@ GOLDEN = [
         [('fusion', (2, 3)), ('h-cancel', (0, 1)), ('scalar-merge', ('two', 0))],
         (
             '60886b13e289abd0e556a42c0e0b8ac8e34ad61cf3a3ce4cd95e262bc7a37e08',
-            '894bf03be0a4129e37bca4d239dabe8301fc09b9258a2735cba5cd8b490c6106',
+            '4937e5a221aaa6782b080565398e8c148ecce415cfd978e37318bf82a7c75e34',
             '1e555b7db5afa3c8ef9ce64d82da5681c649b926b59c74c0e30891de3ecee260',
         ),
     ),
@@ -349,7 +349,7 @@ GOLDEN = [
         [('fusion', (0, 3)), ('fusion', (0, 1)), ('fusion', (0, 1)), ('fusion', (0, 1))],
         (
             'fed3de62ea330f7723cc1795de1a0d9a7fcab4cd873027ef6780f11e1fd19ff4',
-            '1bf58550f7624c62b06eda4e9eb095a2a7839117d8f533c8689937069ad1e3a0',
+            '79e58dc30926042b678472c3604084dd3ea2c7358990d2a2891ceabca8b7523d',
             '1ec45a09e20cbad44f11ea3e03c29fb3609f2f042f57271d0e3e2a6093dccf01',
         ),
     ),
@@ -359,7 +359,7 @@ GOLDEN = [
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
             '98e5f6637e9d00f117f51b249a0a7356fb129a288a10d7fa611dd1fa90aae2f9',
-            'fa4bf7e7e3d8b51aff00a38655d8c1b4781bc49f66c086f2932610760de4f694',
+            '3f30081728cbeb0073ef4188a7af6cb7ff9f771836bddcb9f455329c2e8bfdf5',
             '81e1903d24bd290e11d52e65280351bcd1d4c970003b6eafdd2103b6c36c87dc',
         ),
     ),
@@ -369,7 +369,7 @@ GOLDEN = [
         [('fusion', (0, 1)), ('fusion', (0, 4)), ('fusion', (1, 2)), ('fusion', (1, 2))],
         (
             'a73647474fe0474ba1571e18d54e9a3803d649cee13589ac582e82ce36926501',
-            'edc5c600bf7c311662e2dbd837234148766a5121a2a919db80fbe84b00be37e9',
+            '96cf5f7f3529c65daef95df4c8fa19f50e34acc1d1af97a7587de3fe125e3816',
             'cf83625a82411cb97dc8721c24f7544d2bf038a3a8ec3e85da4069d2818edd4b',
         ),
     ),
@@ -379,7 +379,7 @@ GOLDEN = [
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
             '2c4fcf7cc12ad14bff2b71c46102784459a881c5c94a6ce76f3e432199f61fa5',
-            '8ee097baf49529c3cbe59b59cf16c22898b8575b865b16d44783595210f26df8',
+            'c02c623208e175f29f2b2e8ad089e8f44a29c1627ca24f131fe8acb342233abe',
             '3f6073b876d5cb8de04de4d800e2d49f86b05e185b6fdfc35d003d87be1ab534',
         ),
     ),
@@ -398,7 +398,7 @@ GOLDEN = [
         '(seq (ten id id cap cap) (perm 4 0 1 5 2 3) (ten half (wz 1 0 1) (zw-cross) (wz 1 2 2) half id id) (perm 4 2 1 5 0 3) (ten id id cup cup))',
         [('fusion', (1, 6)), ('fusion', (3, 4))],
         (
-            'b4556191ba0613d6d1b0ec88a95e0aa08b6c912adf277c7aa4ad94a7492d27f9',
+            'a28deec96413886bc03ac1e1ba5aafa3d4a4688bec56ea8bdc391e2bb1119258',
             None,
             None,
         ),
@@ -408,7 +408,7 @@ GOLDEN = [
         '(ten (seq cap (ten (wz 1 1 1) (wz 0 0 2) half (W 1 1)) cup) (seq cap cup))',
         [('fusion', (0, 1)), ('fusion', (1, 4))],
         (
-            'be2554ae876103c1f89ac9384dd8707300337814319288d6fc12032cc962aa5d',
+            'e24534ecbd688068901ec7f833f476cf07b99312e0f85f2d64049602f1591aff',
             None,
             None,
         ),
@@ -527,8 +527,12 @@ def test_proof_steps_with_phase_variables_are_sampled():
     floats = rw.check_proof(rw.parse_proof(FLOAT_VARIABLE_PROOF), seed=3)
     assert floats.ok and floats.sampled_steps == 1
     assert floats.to_json()["sampled_steps"] == 1
+    # a refuted step comes with a falsifying valuation: it is not sampled
     wrong = rw.check_proof(rw.parse_proof(VARIABLE_PROOF.replace("(Z 1 1 0)", "(Z 1 1 pi)")))
-    assert [f["step"] for f in wrong.failures] == [0] and wrong.sampled_steps == 1
+    assert [f["step"] for f in wrong.failures] == [0] and wrong.sampled_steps == 0
+    shifted = rw.check_proof(rw.parse_proof(VARIABLE_PROOF.replace("(Z 1 1 a)\n", "(Z 1 1 a+pi)\n")))
+    assert [f["step"] for f in shifted.failures] == [0] and shifted.sampled_steps == 0
+    assert shifted.to_json()["sampled_steps"] == 0
 
 
 def test_corrupted_phase_fails_at_first_transition():

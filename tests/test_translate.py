@@ -208,6 +208,21 @@ def test_large_integer_white_node_translates_compactly():
     assert eq_semantic(d, out, EXACT)
 
 
+def test_translations_carry_one_compact_scalar_per_fragment():
+    # node counts before the cached fragments' scalar parts were merged
+    # and the (1, 2) state was built from cos plugs: 173, 520, 1,039, 149
+    # and 37,593
+    h, x = dg.h(), dg.x(1, 2, 0)
+    assert len(tr.round_trip(h).nodes) <= 120
+    assert len(tr.round_trip(x).nodes) <= 359
+    assert len(tr.round_trip(dg.seq(h, x, dg.ten(h, h))).nodes) <= 719
+    white = dg.white(1, 1, 14)
+    out = tr.zw_to_zx(white)
+    assert len(out.nodes) <= 86
+    assert interp(out, EXACT) == interp(white, EXACT)
+    assert len(tr.zw_to_zx(dg.white(1, 1, 10**300)).nodes) <= 16569
+
+
 def test_hadamard_fragment_is_built_once():
     assert tr._had_zw() is tr._had_zw()
     assert tr._zero_costate_zw() is tr._zero_costate_zw()
