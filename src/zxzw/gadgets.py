@@ -78,11 +78,6 @@ def half_scalar() -> Diagram:
     )
 
 
-@functools.cache
-def inv_sqrt2() -> Diagram:
-    return half_scalar().tensor(sqrt2())
-
-
 def unit_phase(phase: PhaseLike) -> Diagram:
     """Scalar e^{i a} exactly (no residual normalisation)."""
     return dg.ten(phase_gadget(phase), half_scalar(), sqrt2())

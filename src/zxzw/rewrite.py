@@ -1,18 +1,29 @@
 """Rewriting: executable schemas, a simplifier, and proof-script checking.
 
 A schema packages a matcher (diagram -> candidate locations) with an applier
-(diagram, location -> rewritten diagram).  The matcher is the schema's only
-premise: a location is valid for a diagram iff `find` lists it there, and
-`apply` raises `StaleLocation` for any other, so locations can be stored and
-replayed safely.  Appliers do not re-check it.  Every applier is one node
-replacement: it removes the matched nodes and has `diagrams.replace_nodes`
-splice the other side of the rule in along their ports, which also closes
-wires that come full circle into loops.
+that rewrites a diagram at the locations it lists.  A location is a node
+index, or a tuple of node indices after an optional tag.  The matcher is
+the schema's only premise: a location is valid for a diagram iff `find`
+lists it there, and `apply` raises `StaleLocation` for any other, so
+locations can be stored and replayed safely.  Appliers do not re-check it.
+Every applier is one node replacement: it removes the matched nodes and has
+`diagrams.replace_nodes` splice the other side of the rule in along their
+ports, which also closes wires that come full circle into loops.
+
+`simplify` rewrites in rounds.  Each round lists the sites of the first
+schema that has any and takes, in one splice, the sites that repeatedly
+applying the first listed one would take next: fusion grows each same-kind
+component from its lowest node, and identity removal, Hadamard
+cancellation and scalar merging take their sites in list order, skipping
+overlaps, until one wires two nodes into a site that one site per step
+would take next.  Each trace entry is numbered as in the diagram left by
+the ones before it, so the output and the trace are those of one site per
+step.
 
 The default simplification strategy only uses node-count-decreasing schemas
 (spider fusion, identity removal, cancelling Hadamard pairs, folding scalar
 spiders into circles); the node-increasing `HOPF` and `COLOR_CHANGE` schemas
-are exported for opt-in strategies.
+are exported for opt-in strategies and take one site per round.
 
 Proof scripts are text files: a `proof NAME` line, a `set AXIOMSET` line,
 then diagram blocks separated by `by RULE[, RULE ...]` lines.  `check_proof`
@@ -24,15 +35,18 @@ axiom set.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect, insort
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from . import rules as _rules
 from .diagrams import Diagram, Gen, WZ, Z, X, H as H_KIND, flip, h_layer, replace_nodes, seq, ten
 from .dsl import DslError, parse
-from .gadgets import half_scalar
+from .gadgets import unit_scalar
 from .rings import Cyclo
 from .semantics import check_count, eq_linear, eq_semantic  # noqa: F401 (perfbench traces it here)
 
@@ -47,12 +61,20 @@ class ProofError(ValueError):
 
 @dataclass(frozen=True)
 class Schema:
-    """A named rewrite: `matcher(d)` lists every location where it applies,
-    and `applier(d, loc)` rewrites `d` at one of those locations only."""
+    """A named rewrite: `matcher(d)` lists every location where it applies.
+
+    `applier(d, locs, limit, stop)` is given the locations `locs` that
+    `find` lists for `d`.  It rewrites `d` at `locs[0]`, then at up to
+    `limit - 1` more sites: those that applying the first listed location,
+    step after step, would take next.  It stops right after a site that
+    wires together two nodes whose sorted pair of kinds is in `stop`, and
+    returns the rewritten diagram and the locations it took, each numbered
+    as in the diagram left by the ones before it.
+    """
 
     name: str
     matcher: Callable[[Diagram], list]
-    applier: Callable[[Diagram, Any], Diagram]
+    applier: Callable[[Diagram, list, int, Any], tuple[Diagram, list]]
 
 
 def find(schema: Schema, d: Diagram) -> list:
@@ -66,7 +88,7 @@ def apply(schema: Schema, d: Diagram, loc) -> Diagram:
     lists the location for `d`."""
     if loc not in schema.matcher(d):
         raise StaleLocation(f"{schema.name} does not apply at {loc!r}")
-    return schema.applier(d, loc)
+    return schema.applier(d, [loc], 1, ())[0]
 
 
 # -- shared helpers ----------------------------------------------------------------
@@ -94,12 +116,36 @@ def _legs(d: Diagram, i: int, cut) -> tuple[list, list]:
     return ins, keep[len(ins) :]
 
 
+def _nodes_of(loc) -> tuple:
+    """The nodes that a location names."""
+    return (loc,) if isinstance(loc, int) else tuple(x for x in loc if isinstance(x, int))
+
+
+def _renumber(loc, gone: list):
+    """`loc` in the numbering left once the nodes `gone` (sorted) are removed."""
+    if isinstance(loc, int):
+        return loc - bisect(gone, loc)
+    return tuple(_renumber(x, gone) if isinstance(x, int) else x for x in loc)
+
+
+def _kinds(nodes, a, b):
+    """The sorted kinds of the nodes at the ends a and b, if distinct nodes."""
+    if a[0] == b[0] == "n" and a[1] != b[1]:
+        return tuple(sorted((nodes[a[1]].kind, nodes[b[1]].kind)))
+    return None
+
+
 def _param_mul(p, q):
     if isinstance(p, Cyclo) and isinstance(q, Cyclo):
         return p * q
     a = p.to_complex() if isinstance(p, Cyclo) else complex(p)
     b = q.to_complex() if isinstance(q, Cyclo) else complex(q)
     return a * b
+
+
+def _one_site(rewrite: Callable[[Diagram, Any], Diagram]):
+    """An applier that takes the first listed location only."""
+    return lambda d, locs, limit, stop: (rewrite(d, locs[0]), locs[:1])
 
 
 # -- spider fusion ---------------------------------------------------------------
@@ -112,20 +158,104 @@ def _fusion_sites(d: Diagram) -> list:
     return [(i, j) for i, j in sorted(_pair_edges(d)) if kinds[i] == kinds[j] in _SPIDERS]
 
 
-def _fuse(d: Diagram, loc) -> Diagram:
-    i, j = loc
-    gi, gj = d.nodes[i], d.nodes[j]
-    shared = _edges_between(d, i, j)
-    (ins_i, outs_i), (ins_j, outs_j) = _legs(d, i, shared), _legs(d, j, shared)
-    ins, outs = ins_i + ins_j, outs_i + outs_j
-    if gi.kind == WZ:
-        merged = Gen(WZ, len(ins), len(outs), None, _param_mul(gi.param, gj.param))
-    else:
-        merged = Gen(gi.kind, len(ins), len(outs), gi.phase + gj.phase)
-    return replace_nodes(d, [((i, j), merged, ins + outs)], cut=shared)
+def _fuse(d: Diagram, locs, limit, stop) -> tuple[Diagram, list]:
+    """Fuse pairs of spiders, always the lowest listed pair, until `limit`
+    pairs are fused.
+
+    The merged spider of a pair stays at its lower node, and the pairs of
+    the higher node move onto it, so the lowest pair of all is always the
+    lowest node with a neighbour and its lowest neighbour: fusion grows
+    each component in turn from its lowest node, by its lowest neighbour
+    at each step.
+    The spider keeps its members' legs in that order (as one fusion puts
+    the lower node's legs first), without the wires between members, and
+    sums or multiplies their phases or parameters in the same order.
+    """
+    nodes = d.nodes
+    nbrs = defaultdict(list)
+    for i, j in locs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    owner, classes, gone, steps = {}, [], [], []
+    for i in sorted(nbrs):
+        if len(steps) == limit:
+            break
+        if i in owner:
+            continue
+        owner[i], members, heap = i, [i], sorted(nbrs[i])
+        while heap and len(steps) < limit:
+            j = heappop(heap)
+            if j not in owner:
+                steps.append(_renumber((i, j), gone))
+                insort(gone, j)
+                owner[j] = i
+                members.append(j)
+                for k in nbrs[j]:
+                    heappush(heap, k)
+        classes.append(members)
+    cut = [
+        (a, b)
+        for a, b in d.edges
+        if a[0] == b[0] == "n" and a[1] != b[1] and owner.get(a[1], -1) == owner.get(b[1])
+    ]
+    ends = {end for e in cut for end in e}
+    groups = []
+    for members in classes:
+        legs = [("n", m, p) for m in members for p in range(nodes[m].arity) if ("n", m, p) not in ends]
+        ins = [leg for leg in legs if leg[2] < nodes[leg[1]].n_in]
+        outs = [leg for leg in legs if leg[2] >= nodes[leg[1]].n_in]
+        g = nodes[members[0]]
+        if g.kind == WZ:
+            merged = Gen(WZ, len(ins), len(outs), None, reduce(_param_mul, [nodes[m].param for m in members]))
+        else:
+            merged = Gen(g.kind, len(ins), len(outs), sum([nodes[m].phase for m in members[1:]], g.phase))
+        groups.append((members, merged, ins + outs))
+    return replace_nodes(d, groups, cut=cut), steps
 
 
 FUSION = Schema("fusion", _fusion_sites, _fuse)
+
+
+# -- sites whose nodes become plain wires or circles -------------------------------
+
+# what replaces a site's nodes: with no ports each (scalar spiders), one
+# circle; with two each, a wire from port 0 to port 1 of each
+_PLAIN = (Diagram.circle(1), Diagram.identity(1), Diagram.identity(2))
+
+
+def _unwire(d: Diagram, locs, limit, stop) -> tuple[Diagram, list]:
+    """Take the listed sites in order, skipping those that share a node with
+    one taken, until `limit` are taken or one wires together two nodes
+    whose kinds are in `stop`.
+
+    A site's nodes are removed, each 1->1 node leaving a wire from its port
+    0 to its port 1; a port -> port map of the wires follows which nodes
+    the sites taken so far have wired together.
+    """
+    nodes = d.nodes
+    partner = {}
+    for a, b in d.edges:
+        partner[a], partner[b] = b, a
+    gone, groups, steps, taken = [], [], [], set()
+    for loc in locs:
+        site = _nodes_of(loc)
+        if taken.intersection(site):
+            continue
+        steps.append(_renumber(loc, gone))
+        wired = [i for i in site if nodes[i].arity]
+        groups.append((site, _PLAIN[len(wired)], [("n", i, p) for p in (0, 1) for i in wired]))
+        taken.update(site)
+        for i in site:
+            insort(gone, i)
+        joined = None
+        for i in wired:
+            a, b = partner.pop(("n", i, 0)), partner.pop(("n", i, 1))
+            joined = None if a == ("n", i, 1) else (a, b)
+            if joined:
+                partner[a], partner[b] = b, a
+        if len(steps) == limit or joined and _kinds(nodes, *joined) in stop:
+            break
+    return replace_nodes(d, groups), steps
 
 
 # -- identity removal -------------------------------------------------------------
@@ -139,12 +269,8 @@ def _identity_sites(d: Diagram) -> list:
     ]
 
 
-def _remove_identity(d: Diagram, i) -> Diagram:
-    # a spider whose two legs are joined becomes a closed circle
-    return replace_nodes(d, [((i,), Diagram.identity(1), [("n", i, 0), ("n", i, 1)])])
-
-
-IDENTITY_REMOVAL = Schema("identity-removal", _identity_sites, _remove_identity)
+# a spider whose two legs are joined becomes a closed circle
+IDENTITY_REMOVAL = Schema("identity-removal", _identity_sites, _unwire)
 
 
 # -- cancelling Hadamard pairs ----------------------------------------------------
@@ -155,15 +281,9 @@ def _h_cancel_sites(d: Diagram) -> list:
     return [(i, j) for i, j in sorted(_pair_edges(d)) if kinds[i] == kinds[j] == H_KIND]
 
 
-def _cancel_h(d: Diagram, loc) -> Diagram:
-    i, j = loc
-    # each Hadamard becomes a plain wire; an H pair closed on itself is a
-    # circle, trace(id) = 2
-    ports = [("n", i, 0), ("n", j, 0), ("n", i, 1), ("n", j, 1)]
-    return replace_nodes(d, [((i, j), Diagram.identity(2), ports)])
-
-
-H_CANCEL = Schema("h-cancel", _h_cancel_sites, _cancel_h)
+# each Hadamard becomes a plain wire; an H pair closed on itself is a
+# circle, trace(id) = 2
+H_CANCEL = Schema("h-cancel", _h_cancel_sites, _unwire)
 
 
 # -- scalar spiders ---------------------------------------------------------------
@@ -194,12 +314,8 @@ def _scalar_sites(d: Diagram) -> list:
     return sorted(out)
 
 
-def _merge_scalars(d: Diagram, loc) -> Diagram:
-    # 1 + 1 = 2 and (1 + i)(1 - i) = 2: either is one circle
-    return replace_nodes(d, [(loc[1:], Diagram.circle(1), [])])
-
-
-SCALAR_MERGE = Schema("scalar-merge", _scalar_sites, _merge_scalars)
+# 1 + 1 = 2 and (1 + i)(1 - i) = 2: either is one circle
+SCALAR_MERGE = Schema("scalar-merge", _scalar_sites, _unwire)
 
 
 # -- the Hopf pair (opt-in: emits a scalar gadget) ---------------------------------
@@ -222,12 +338,12 @@ def _apply_hopf(d: Diagram, loc) -> Diagram:
     frag = ten(
         Diagram.generator(Gen(gi.kind, len(ins_i), len(outs_i), gi.phase)),
         Diagram.generator(Gen(gj.kind, len(ins_j), len(outs_j), gj.phase)),
-        half_scalar(),
+        unit_scalar(0, -2),
     )
     return replace_nodes(d, [((i, j), frag, ins_i + ins_j + outs_i + outs_j)], cut=cut)
 
 
-HOPF = Schema("hopf", _hopf_sites, _apply_hopf)
+HOPF = Schema("hopf", _hopf_sites, _one_site(_apply_hopf))
 
 
 # -- colour change (opt-in: grows by one Hadamard per leg) -------------------------
@@ -245,29 +361,48 @@ def _change_colour(d: Diagram, i) -> Diagram:
     return replace_nodes(d, [((i,), frag, [("n", i, p) for p in range(g.arity)])])
 
 
-COLOR_CHANGE = Schema("color-change", _colour_sites, _change_colour)
+COLOR_CHANGE = Schema("color-change", _colour_sites, _one_site(_change_colour))
 
 
 DEFAULT_STRATEGY = (FUSION, IDENTITY_REMOVAL, H_CANCEL, SCALAR_MERGE)
 ALL_SCHEMAS = DEFAULT_STRATEGY + (HOPF, COLOR_CHANGE)
 
 
+# the sorted kinds of two nodes that a new wire between them can make a site
+# of each schema (of Hopf, if it is a second wire), and the schemas whose
+# sites a fusion can make
+_WIRED_SITES = {FUSION: [(k, k) for k in _SPIDERS], H_CANCEL: [(H_KIND, H_KIND)], HOPF: [(X, Z)]}
+_FUSED_SITES = {IDENTITY_REMOVAL, SCALAR_MERGE, HOPF}
+
+
 def simplify(d: Diagram, strategy=DEFAULT_STRATEGY, fuel: Optional[int] = None):
-    """Repeatedly apply the first matching schema; returns the simplified
-    diagram and the trace of (schema name, location) steps taken."""
+    """Simplify `d` in rounds; returns the simplified diagram and the trace
+    of (schema name, location) steps, at most `fuel` (default: ten per node).
+
+    The result and the trace are those of repeatedly applying the first
+    location of the first schema in `strategy` that matches.  Each round
+    lists the sites of that schema once and applies, in one splice, the
+    sites that those steps would take next.  A round ends where a step
+    wires two nodes into a site of a schema in the strategy up to this one.
+    Where a schema not exported here, or one whose sites a fusion can make,
+    comes before it, the round takes one site.
+    """
     if fuel is None:
         fuel = 10 * len(d.nodes)
     check_count("fuel", fuel)
     trace = []
-    for _ in range(fuel):
-        for schema in strategy:
+    while len(trace) < fuel:
+        for k, schema in enumerate(strategy):
             locs = find(schema, d)
             if locs:
-                d = schema.applier(d, locs[0])  # find just listed it
-                trace.append((schema.name, locs[0]))
                 break
         else:
             break
+        seen = strategy[: k + 1]
+        stop = {pair for s in seen for pair in _WIRED_SITES.get(s, ())}
+        alone = not set(seen) <= set(ALL_SCHEMAS) or schema is FUSION and not _FUSED_SITES.isdisjoint(seen)
+        d, steps = schema.applier(d, locs, 1 if alone else fuel - len(trace), stop)
+        trace += [(schema.name, loc) for loc in steps]
     return d, trace
 
 

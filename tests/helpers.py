@@ -1,6 +1,6 @@
 """Shared test utilities: random diagram generation, matrices as numpy
-arrays for the oracles that compare against them, and reference builders
-for the state gadgets."""
+arrays for the oracles that compare against them, reference builders for
+the state gadgets, and the one-site-per-step simplifier."""
 
 import random
 from collections import Counter
@@ -10,6 +10,7 @@ import numpy as np
 
 from zxzw import diagrams as dg
 from zxzw import gadgets as gad
+from zxzw import rewrite as rw
 from zxzw.diagrams import CROSS, CROSS_CYCLE, CalculusMismatch, Diagram, DiagramError, Gen
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -185,3 +186,21 @@ def reference_ring_state(r) -> Diagram:
     for _ in range(r.e):
         out = dg.seq(dg.ten(out, gad.half_state()), dg.z(2, 1, 0))
     return out
+
+
+def reference_simplify(d: Diagram, strategy=rw.DEFAULT_STRATEGY, fuel=None):
+    """The simplifier that `rewrite.simplify` replaced, one site per step:
+    the reference for its output and trace."""
+    if fuel is None:
+        fuel = 10 * len(d.nodes)
+    trace = []
+    for _ in range(fuel):
+        for schema in strategy:
+            locs = rw.find(schema, d)
+            if locs:
+                d = rw.apply(schema, d, locs[0])
+                trace.append((schema.name, locs[0]))
+                break
+        else:
+            break
+    return d, trace

@@ -26,10 +26,6 @@ def test_sqrt2_scalar():
     assert scalar_of(gad.sqrt2()) == SQRT2
 
 
-def test_inv_sqrt2_scalar():
-    assert scalar_of(gad.inv_sqrt2()) == INV_SQRT2
-
-
 def test_dot_values():
     assert scalar_of(gad.dot(0)) == Cyclo(2)
     assert scalar_of(gad.dot(1)) == Cyclo(0)
@@ -214,7 +210,7 @@ def test_compacted_gadget_sizes():
 
 @pytest.mark.parametrize(
     "name",
-    ["sqrt2", "half_scalar", "inv_sqrt2", "cnot", "cnot_down", "cz", "crossing", "triangle",
+    ["sqrt2", "half_scalar", "cnot", "cnot_down", "cz", "crossing", "triangle",
      "w_add", "w_split", "w21_zx", "w12_zx", "zero_state", "half_state", "_two_state"],
 )
 def test_parameter_free_fragments_are_built_once(name):

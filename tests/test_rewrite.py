@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import zxzw.rewrite as rw
 import zxzw.translate as tr
-from helpers import random_diagram
+from helpers import random_diagram, reference_simplify
 from zxzw.diagrams import Diagram, Gen, color_swap, h, iso_equal, seq, ten, white, x, z
 from zxzw.dsl import parse, print_diagram
 from zxzw.matrices import Matrix
@@ -194,6 +195,66 @@ def test_simplify_respects_fuel():
 def test_simplify_refuses_negative_fuel():
     with pytest.raises(ValueError, match="fuel must be non-negative"):
         rw.simplify(seq(*[z(1, 1, 0)] * 5), fuel=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["zx", "zxt", "zw"]),
+    st.sampled_from([rw.DEFAULT_STRATEGY, rw.ALL_SCHEMAS]),
+    st.sampled_from([1, 2, 3, 5, None]),
+)
+def test_simplify_matches_one_site_per_step(seed, tag, strategy, fuel):
+    d = random_diagram(random.Random(seed), tag=tag, max_nodes=8)
+    out, trace = rw.simplify(d, strategy, fuel)
+    ref, ref_trace = reference_simplify(d, strategy, fuel)
+    assert print_diagram(out) == print_diagram(ref)
+    assert trace == ref_trace
+
+
+@pytest.mark.parametrize(
+    "d, trace",
+    [
+        # cancelling the first H pair makes a new one: taking the next
+        # listed pair instead would differ
+        (
+            random_diagram(random.Random(416), tag="zx", max_nodes=8),
+            [("h-cancel", (0, 1)), ("h-cancel", (2, 4))],
+        ),
+        # each cancelled pair makes a fusion site, taken before the next pair
+        (
+            parse("(seq " + " ".join(["(Z 1 1 pi/4) H H"] * 4) + ")"),
+            [("h-cancel", (1, 2)), ("fusion", (0, 1))] * 3 + [("h-cancel", (1, 2))],
+        ),
+        # the pair (1, 2) becomes (0, 1) once 0 and 2 fuse, so the merged
+        # spider has node 2's legs before node 1's
+        (
+            parse("(seq (ten (Z 1 1 pi/4) (Z 1 2 pi/2)) (ten (Z 2 2 0) id))"),
+            [("fusion", (0, 2)), ("fusion", (0, 1))],
+        ),
+    ],
+    ids=["h-chain", "cancel-then-fuse", "fusion-order"],
+)
+def test_simplify_rounds_end_where_one_site_per_step_turns(d, trace):
+    out, steps = rw.simplify(d)
+    ref, ref_trace = reference_simplify(d)
+    assert steps == ref_trace == trace
+    assert out == ref and print_diagram(out) == print_diagram(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["zx", "zxt", "zw"]),
+    st.sampled_from([rw.DEFAULT_STRATEGY, rw.ALL_SCHEMAS]),
+)
+def test_trace_replays_to_the_simplified_diagram(seed, tag, strategy):
+    d = random_diagram(random.Random(seed), tag=tag, max_nodes=8)
+    out, trace = rw.simplify(d, strategy, 40)
+    by_name = {s.name: s for s in strategy}
+    for name, loc in trace:
+        d = rw.apply(by_name[name], d, loc)
+    assert d == out
 
 
 # -- pinned outputs of the simplifier and of every `graft` caller ----------------
@@ -485,6 +546,17 @@ def test_pinned_simplify_of_large_circuits(seed, wires, atoms, nodes, digest):
     out, trace = rw.simplify(d)
     text = print_diagram(out) + "\n" + repr(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_simplify_of_a_long_chain_takes_seconds():
+    # rounds keep this linear; one site per step, rebuilding the whole
+    # diagram at each step, is quadratic: about 66 s here
+    d = parse(_layered_circuit(random.Random(1), 1, 6000))
+    assert len(d.nodes) >= 5000
+    start = time.perf_counter()
+    out, _ = rw.simplify(d)
+    assert time.perf_counter() - start < 10
+    assert len(out.nodes) == 3 and eq_semantic(d, out)
 
 
 # -- proof scripts ---------------------------------------------------------------
