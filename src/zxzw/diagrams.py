@@ -186,7 +186,8 @@ class Diagram:
     Build diagrams from the constructors below (`generator`, `identity`,
     `cup`, ...) and combine them with `seq` / `ten` (or the binary `then` /
     `tensor`); direct construction validates that the edges form a perfect
-    matching on all ports.
+    matching on all ports.  Nodes are values: two nodes, of one diagram or
+    of two, may hold one `Gen` object.
     """
 
     __slots__ = ("tag", "nodes", "edges", "n_in", "n_out", "loops")

@@ -25,8 +25,8 @@ import cmath
 import math
 import re
 from fractions import Fraction
-from itertools import accumulate
-from typing import NamedTuple, Optional
+from itertools import accumulate, islice
+from typing import Optional
 
 from .diagrams import (
     CROSS,
@@ -61,44 +61,20 @@ class DslError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
 
-class _Tok(NamedTuple):
-    text: str
-    line: int
-    col: int
+# a token is "(", ")" or a run of other characters; a comment matches with an
+# empty group, and so does nothing else
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < n and src[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok(src[start:i], line, start_col))
-    return toks
+def _position(src: str, k: int) -> tuple[int, int]:
+    """Line and column of the k-th token, found by scanning the text again."""
+    start = next(islice((m.start() for m in _TOKEN.finditer(src) if m.group(1)), k, None))
+    return src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start)
 
 
 # -- phases and parameters -----------------------------------------------------
@@ -129,7 +105,7 @@ _PI_TERM = re.compile(r"(?:(\d+)\*?)?pi(?:/(\d+))?")
 
 def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
     """Parse a phase written in the term grammar above."""
-    total = Phase.ZERO
+    consts, terms = [], []
     for chunk in _split_signed(text):
         sign = 1
         body = chunk
@@ -144,10 +120,10 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
             q = int(m.group(2)) if m.group(2) else 1
             if q == 0:
                 raise DslError(f"zero denominator in {text!r}", line, col)
-            total = total + Phase.exact_pi(Fraction(sign * k, q))
+            consts.append(Fraction(sign * k, q))
             continue
         if body.isdigit():
-            total = total + Phase.exact_pi(sign * int(body))
+            consts.append(Fraction(sign * int(body)))
             continue
         if body[0].isdigit() or body[0] == ".":
             try:
@@ -157,15 +133,16 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
             if radians is not None:
                 if not math.isfinite(radians):
                     raise DslError(f"non-finite number {chunk!r} in {text!r}", line, col)
-                total = total + Phase.radians(sign * radians)
+                consts.append(sign * radians)
                 continue
         m = _VAR_TERM.fullmatch(body)
         if m and m.group(2) != "pi":
-            coef = sign * (int(m.group(1)) if m.group(1) else 1)
-            total = total + Phase.var(m.group(2), coef)
+            terms.append((m.group(2), sign * (int(m.group(1)) if m.group(1) else 1)))
             continue
         raise DslError(f"bad phase term {chunk!r} in {text!r}", line, col)
-    return total
+    if any(isinstance(c, float) for c in consts):  # degrade as the sum of phases does
+        return sum(map(Phase.coerce, consts), Phase(Fraction(0), terms))
+    return Phase(sum(consts, Fraction(0)), terms)
 
 
 def _parse_complex(text: str, line: int, col: int) -> complex:
@@ -243,34 +220,51 @@ _W_NODES = {(1, 1): w11, (1, 2): w12, (2, 1): w21}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
+    """Reads tokens by index.  A token's position is computed only for an
+    error, and each distinct atom is built once per text: later occurrences
+    share its (immutable) diagram."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.toks = list(filter(None, _TOKEN.findall(src)))
         self.pos = 0
+        self.built = {}  # an atom's token texts -> its diagram
 
-    def take(self) -> _Tok:
+    def error(self, message: str, k: int, shift: int = 0) -> DslError:
+        line, col = _position(self.src, k)
+        return DslError(message, line, col + shift)
+
+    def take(self) -> int:
+        """Consume the next token and return its index."""
         if self.pos >= len(self.toks):
-            last = self.toks[-1]
-            raise DslError("unexpected end of input", last.line, last.col + len(last.text))
-        tok = self.toks[self.pos]
+            last = len(self.toks) - 1
+            raise self.error("unexpected end of input", last, len(self.toks[last]))
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def peek(self) -> Optional[_Tok]:
+    def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def expect_close(self, opener: _Tok) -> None:
+    def expect_close(self, opener: int) -> None:
         tok = self.peek()
         if tok is None:
-            raise DslError("unclosed '('", opener.line, opener.col)
-        if tok.text != ")":
-            raise DslError(f"expected ')', got {tok.text!r}", tok.line, tok.col)
+            raise self.error("unclosed '('", opener)
+        if tok != ")":
+            raise self.error(f"expected ')', got {tok!r}", self.pos)
         self.pos += 1
 
     def int_arg(self, what: str) -> int:
-        tok = self.take()
-        if not tok.text.isdigit():
-            raise DslError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
-        return int(tok.text)
+        k = self.take()
+        if not self.toks[k].isdigit():
+            raise self.error(f"expected {what}, got {self.toks[k]!r}", k)
+        return int(self.toks[k])
+
+    def value(self, read, k: int):
+        """`read` (`parse_phase` or `parse_param`) of token k; an error points at it."""
+        try:
+            return read(self.toks[k])
+        except DslError as e:
+            raise self.error(e.message, k) from None
 
     def expr(self) -> Diagram:
         """Read one diagram in a single loop over the tokens.  Open seq/ten
@@ -278,46 +272,64 @@ class _Parser:
         by memory; every other form is flat and is read where it opens."""
         stack = []  # open combinators: (opener, name, [(child, its first token)])
         while True:
-            start = self.peek()
-            if stack and start is None:
-                raise DslError("unclosed '('", stack[-1][0].line, stack[-1][0].col)
-            if stack and start.text == ")":
+            start = self.pos
+            tok = self.peek()
+            if stack and tok is None:
+                raise self.error("unclosed '('", stack[-1][0])
+            if stack and tok == ")":
                 self.pos += 1
-                opener, name, children = stack.pop()
-                d, start = _combine(opener, name, children), opener
+                start, name, children = stack.pop()
+                d = self.combine(start, name, children)
             else:
-                tok = self.take()
-                if tok.text == ")":
-                    raise DslError("unexpected ')'", tok.line, tok.col)
-                if tok.text == "(":
-                    head = self.take()
-                    if head.text in ("seq", "ten"):
-                        stack.append((tok, head.text, []))
+                self.take()
+                if tok == ")":
+                    raise self.error("unexpected ')'", start)
+                if tok == "(":
+                    head = self.toks[self.take()]
+                    if head in ("seq", "ten"):
+                        stack.append((start, head, []))
                         continue
-                    d = self.form(tok, head)
-                elif tok.text in _WORDS:
-                    d = _WORDS[tok.text]()
+                    d = self.atom(start)
+                elif tok in _WORDS:
+                    d = self.once(tok, _WORDS[tok])
                 else:
-                    raise DslError(f"unknown atom {tok.text!r}", tok.line, tok.col)
+                    raise self.error(f"unknown atom {tok!r}", start)
             if not stack:
                 return d
             stack[-1][2].append((d, start))
 
-    def form(self, opener: _Tok, head: _Tok) -> Diagram:
-        name = head.text
+    def atom(self, opener: int) -> Diagram:
+        """The flat form opened at token `opener`, whose head is read; it
+        ends at the next ')' if it is well formed."""
+        try:
+            close = self.toks.index(")", opener)
+        except ValueError:
+            return self.form(opener)  # raises
+        d = self.once(tuple(self.toks[opener + 1 : close]), lambda: self.form(opener))
+        self.pos = close + 1
+        return d
+
+    def once(self, key, build) -> Diagram:
+        d = self.built.get(key)
+        if d is None:
+            d = self.built[key] = build()
+        return d
+
+    def form(self, opener: int) -> Diagram:
+        head = opener + 1
+        name = self.toks[head]
         if name in ("(", ")"):
-            raise DslError(f"expected a form name, got {name!r}", head.line, head.col)
+            raise self.error(f"expected a form name, got {name!r}", head)
         if name in ("Z", "X"):
             n = self.int_arg("an input count")
             m = self.int_arg("an output count")
             nxt = self.peek()
             if nxt is None:
-                raise DslError("unclosed '('", opener.line, opener.col)
-            if nxt.text == ")":
+                raise self.error("unclosed '('", opener)
+            if nxt == ")":
                 phase = Phase.ZERO
             else:
-                self.pos += 1
-                phase = parse_phase(nxt.text, nxt.line, nxt.col)
+                phase = self.value(parse_phase, self.take())
             self.expect_close(opener)
             return z(n, m, phase) if name == "Z" else x(n, m, phase)
         if name == "W":
@@ -326,28 +338,28 @@ class _Parser:
             self.expect_close(opener)
             builder = _W_NODES.get((a, b))
             if builder is None:
-                raise DslError(f"w nodes are 1-1, 1-2 or 2-1, got {a}-{b}", head.line, head.col)
+                raise self.error(f"w nodes are 1-1, 1-2 or 2-1, got {a}-{b}", head)
             return builder()
         if name == "wz":
             n = self.int_arg("an input count")
             m = self.int_arg("an output count")
-            tok = self.take()
-            if tok.text in ("(", ")"):
-                raise DslError("wz needs a parameter", tok.line, tok.col)
-            param = parse_param(tok.text, tok.line, tok.col)
+            k = self.take()
+            if self.toks[k] in ("(", ")"):
+                raise self.error("wz needs a parameter", k)
+            param = self.value(parse_param, k)
             self.expect_close(opener)
             return white(n, m, param)
         if name == "tri":
             nxt = self.peek()
             if nxt is None:
-                raise DslError("unclosed '('", opener.line, opener.col)
-            if nxt.text == ")":
+                raise self.error("unclosed '('", opener)
+            if nxt == ")":
                 param = 1
             else:
-                self.pos += 1
-                if nxt.text in ("(", ")"):
-                    raise DslError("tri takes a parameter", nxt.line, nxt.col)
-                param = parse_param(nxt.text, nxt.line, nxt.col)
+                k = self.take()
+                if nxt == "(":
+                    raise self.error("tri takes a parameter", k)
+                param = self.value(parse_param, k)
             self.expect_close(opener)
             return tri(param)
         if name == "zw-cross":
@@ -355,38 +367,35 @@ class _Parser:
             return zw_cross()
         if name == "perm":
             targets = []
-            while (tok := self.peek()) is not None and tok.text != ")":
+            while (tok := self.peek()) is not None and tok != ")":
                 targets.append(self.int_arg("a wire index"))
             self.expect_close(opener)
             try:
                 return Diagram.permutation(targets)
             except DiagramError as e:
-                raise DslError(str(e), head.line, head.col) from None
-        raise DslError(f"unknown form {name!r}", head.line, head.col)
+                raise self.error(str(e), head) from None
+        raise self.error(f"unknown form {name!r}", head)
 
-
-def _combine(opener: _Tok, name: str, children: list) -> Diagram:
-    if not children:
-        raise DslError(f"{name} needs at least one diagram", opener.line, opener.col)
-    ds = [d for d, _ in children]
-    try:
-        return seq(*ds) if name == "seq" else ten(*ds)
-    except ArityMismatch as e:
-        # point at the first child whose inputs do not fit
-        tok = next(t for (a, _), (b, t) in zip(children, children[1:]) if a.n_out != b.n_in)
-        raise DslError(str(e), tok.line, tok.col) from None
+    def combine(self, opener: int, name: str, children: list) -> Diagram:
+        if not children:
+            raise self.error(f"{name} needs at least one diagram", opener)
+        ds = [d for d, _ in children]
+        try:
+            return seq(*ds) if name == "seq" else ten(*ds)
+        except ArityMismatch as e:
+            # point at the first child whose inputs do not fit
+            k = next(k for (a, _), (b, k) in zip(children, children[1:]) if a.n_out != b.n_in)
+            raise self.error(str(e), k) from None
 
 
 def parse(src: str) -> Diagram:
     """Parse diagram text; raises DslError with line and column on bad input."""
-    toks = _tokenize(src)
-    if not toks:
+    parser = _Parser(src)
+    if not parser.toks:
         raise DslError("empty input", 1, 1)
-    parser = _Parser(toks)
     d = parser.expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise DslError(f"trailing input {trailing.text!r}", trailing.line, trailing.col)
+    if parser.pos < len(parser.toks):
+        raise parser.error(f"trailing input {parser.peek()!r}", parser.pos)
     return d
 
 

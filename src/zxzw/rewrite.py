@@ -445,7 +445,7 @@ def parse_proof(text: str) -> ProofScript:
     `by RULE[, RULE ...]` lines."""
     name = None
     set_name = None
-    blocks: list[list[str]] = [[]]
+    blocks: list[tuple[int, list[str]]] = []  # (first file line, lines)
     citations: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";")[0].strip()
@@ -462,26 +462,28 @@ def parse_proof(text: str) -> ProofScript:
             if not line.startswith("set "):
                 raise ProofError(f"line {lineno}: expected 'set AXIOMSET', got {line!r}")
             set_name = line[len("set ") :].strip()
+            blocks.append((lineno + 1, []))
             continue
         if line == "by" or line.startswith("by ") or line.startswith("by,"):
             cited = tuple(r.strip() for r in line[2:].split(",") if r.strip())
             if not cited:
                 raise ProofError(f"line {lineno}: 'by' cites no rules")
             citations.append(cited)
-            blocks.append([])
+            blocks.append((lineno + 1, []))
         else:
-            blocks[-1].append(raw)
+            blocks[-1][1].append(raw)
     if name is None or set_name is None:
         raise ProofError("missing 'proof NAME' or 'set AXIOMSET' header")
     steps = []
-    for k, block in enumerate(blocks):
+    for k, (first, block) in enumerate(blocks):
         src = "\n".join(block)
         if not src.strip():
             raise ProofError(f"step {k} of proof {name!r} is empty")
         try:
             steps.append(parse(src))
         except DslError as e:
-            raise ProofError(f"step {k} of proof {name!r}: {e}") from None
+            at_file_line = DslError(e.message, first - 1 + e.line, e.col)
+            raise ProofError(f"step {k} of proof {name!r}: {at_file_line}") from None
     return ProofScript(name, set_name, tuple(steps), tuple(citations))
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: random diagram generation, matrices as numpy
 arrays for the oracles that compare against them, reference builders for
-the state gadgets, and the one-site-per-step simplifier."""
+the state gadgets, the one-site-per-step simplifier and the
+per-character tokenizer."""
 
 import random
 from collections import Counter
@@ -204,3 +205,35 @@ def reference_simplify(d: Diagram, strategy=rw.DEFAULT_STRATEGY, fuel=None):
         else:
             break
     return d, trace
+
+
+def reference_tokens(src: str) -> list[tuple[str, int, int]]:
+    """The per-character tokenizer that `dsl.parse` replaced with one regular
+    expression: the reference for each token's text, line and column."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and src[i] != "\n":
+                i += 1
+        elif ch in "()":
+            toks.append((ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start, start_col = i, col
+            while i < n and src[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            toks.append((src[start:i], line, start_col))
+    return toks

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zxzw.dsl as dsl
 import zxzw.gadgets as gad
-from helpers import random_diagram
-from zxzw.diagrams import Diagram, iso_equal, seq, ten, w21, x, z
+from helpers import random_diagram, reference_tokens
+from zxzw.diagrams import Diagram, h, iso_equal, seq, ten, w21, x, z
 from zxzw.dsl import DslError, parse, parse_param, parse_phase, print_diagram
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -78,6 +79,75 @@ def test_phase_grammar():
     assert parse("(X 2 0 pi)").nodes[0].phase == Phase.PI
 
 
+def _float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def left_fold_phase(text: str) -> Phase:
+    """`parse_phase` as it was, for valid texts: each term added in turn to a
+    running `Phase`, which is normalised after every addition."""
+    total = Phase.ZERO
+    for chunk in dsl._split_signed(text):
+        sign, body = (-1 if chunk[0] == "-" else 1), chunk.lstrip("+-")
+        if m := dsl._PI_TERM.fullmatch(body):
+            total = total + Phase.exact_pi(F(sign * int(m.group(1) or 1), int(m.group(2) or 1)))
+        elif body.isdigit():
+            total = total + Phase.exact_pi(sign * int(body))
+        elif (body[0].isdigit() or body[0] == ".") and (radians := _float(body)) is not None:
+            total = total + Phase.radians(sign * radians)
+        else:
+            m = dsl._VAR_TERM.fullmatch(body)
+            total = total + Phase.var(m.group(2), sign * int(m.group(1) or 1))
+    return total
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pi/4",
+        "3*pi/2-2a+b",
+        "0.3+pi",
+        "2a-2a",
+        "1e-5+pi/4",
+        "-pi",
+        "7+0.3",
+        "-1e-20",
+        "-1e-20+a",
+        "a+0.3-b+pi/4",
+        "pi/4+pi/4+pi/2-3",
+        "-0.3-0.3+5pi/3",
+        "b+a-2b+3c",
+        "2.5e-3+3a-pi/8",
+        "1e5-2a1",
+        "0",
+    ],
+)
+def test_phase_is_the_left_fold_of_its_terms(text):
+    got, want = parse_phase(text), left_fold_phase(text)
+    assert (got.is_exact, repr(got.const), got.terms) == (want.is_exact, repr(want.const), want.terms)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pi//4", "bad phase term 'pi//4' in 'pi//4'"),
+        ("", "bad phase ''"),
+        ("a+", "bad phase 'a+'"),
+        ("pi+-a", "bad phase 'pi+-a'"),
+        ("pi/0", "zero denominator in 'pi/0'"),
+        ("1e400", "non-finite number '1e400' in '1e400'"),
+        ("0.3+pi-x.y", "bad phase term '-x.y' in '0.3+pi-x.y'"),
+    ],
+)
+def test_phase_errors(text, message):
+    with pytest.raises(DslError) as err:
+        parse_phase(text, 4, 7)
+    assert str(err.value) == f"line 4, col 7: {message}"
+
+
 @pytest.mark.parametrize(
     "text,line,col",
     [
@@ -95,6 +165,13 @@ def test_phase_grammar():
         ("(perm 0 0)", 1, 2),
         ("(perm 1 x)", 1, 9),
         ("(perm 0 2)", 1, 2),
+        # repeated atoms: a built one is reused, a bad one raises where it is
+        ("(seq (Z 1 1 pi) (Z 1 1 pi) (Z 2 1 pi))", 1, 28),
+        ("(ten (Z 1 1 pi//4) (Z 1 1 pi//4))", 1, 13),
+        ("(ten (Z 1 1 pi) (Z 1 1 pi)\n (Z 1 1 pi//4))", 2, 9),
+        ("(ten H H\n H frob)", 2, 4),
+        ("(seq (perm 1 0) (perm 1 0) (perm 0 0))", 1, 29),
+        ("(ten (wz 1 1 2) (wz 1 1 2) (wz 1 1 2@a))", 1, 36),
     ],
 )
 def test_errors_carry_positions(text, line, col):
@@ -102,6 +179,36 @@ def test_errors_carry_positions(text, line, col):
         parse(text)
     assert err.value.line == line
     assert err.value.col == col
+
+
+def test_repeated_atoms_parse_as_built():
+    t = z(1, 1, F(1, 4))
+    layer = "(ten (Z 1 1 pi/4) H (X 1 1 a))"
+    text = f"(seq {layer} (perm 1 0 2) {layer} (ten id swap) {layer})"
+    built_layer = ten(t, h(), x(1, 1, Phase.var("a")))
+    built = seq(
+        built_layer,
+        Diagram.permutation([1, 0, 2]),
+        built_layer,
+        ten(Diagram.identity(1), Diagram.swap()),
+        built_layer,
+    )
+    assert parse(text) == built
+    for d in (built, parse("(ten " + " ".join(["(Z 1 1 pi/4)", "H", "id", "(X 1 2 a)"] * 50) + ")")):
+        printed = print_diagram(d)
+        assert print_diagram(parse(printed)) == printed
+
+
+_PIECES = list(" \t\r\n;()\x0cZ1p/-+ab") + ["pi/4", "(Z 1 1 ", ") ;c\n", "\r\n\t"]
+_TOKEN_TEXT = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN_TEXT)
+def test_tokens_and_positions_match_the_reference(src):
+    ref = reference_tokens(src)
+    assert dsl._Parser(src).toks == [t for t, _, _ in ref]
+    assert [dsl._position(src, k) for k in range(len(ref))] == [(line, col) for _, line, col in ref]
 
 
 @pytest.mark.parametrize(

@@ -634,3 +634,12 @@ def test_malformed_scripts_raise():
         rw.parse_proof("proof p\nset zx-pi2\n(Z 1 1 pi)\nby S\n")
     with pytest.raises(rw.ProofError):
         rw.parse_proof("proof p\nset zx-pi2\n(Z 1 1 pi//4)\n")
+
+
+def test_proof_step_parse_errors_carry_file_lines():
+    # the bad phase is on line 6 of the file, line 2 of its step's block
+    text = "proof p\nset zx-pi2\n(Z 1 1 pi/4)\nby S\n(seq (Z 1 1 pi/8)\n  (Z 1 1 frob/2))\n"
+    with pytest.raises(rw.ProofError, match=r"^step 1 of proof 'p': line 6, col 10: "):
+        rw.parse_proof(text)
+    with pytest.raises(rw.ProofError, match=r"^step 0 of proof 'p': line 4, col 1: unknown atom"):
+        rw.parse_proof("; a proof\nproof p\nset zx-pi2\nfrob\nby S\n(Z 1 1)\n")
