@@ -80,15 +80,29 @@ def _position(src: str, k: int) -> tuple[int, int]:
 # -- phases and parameters -----------------------------------------------------
 
 
+def _int(text: str, line: int = 1, col: int = 1) -> int:
+    """`int(text)`, where a text that `int` refuses, such as a run of more
+    digits than it converts, is a DslError."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 24 else f"{text[:12]!r}... ({len(text)} characters)"
+        raise DslError(f"cannot read {shown} as an integer", line, col) from None
+
+
+# a float's digits up to its exponent's sign, as in 1e-05
+_MANTISSA = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)[eE]")
+
+
 def _split_signed(text: str) -> list[str]:
     """Split at top-level + and -, keeping signs; the sign of a float
-    exponent (as in 1e-05) does not split."""
+    exponent (as in 1e-05) does not split.  A sign after an "e" is an
+    exponent's only when the term so far is a float's digits and that "e"."""
     parts = []
     cur = ""
     for idx, ch in enumerate(text):
         if ch in "+-" and idx > 0:
-            prev = text[idx - 1]
-            if prev in "eE" and (text[idx - 2].isdigit() or text[idx - 2] == "."):
+            if text[idx - 1] in "eE" and _MANTISSA.fullmatch(cur):
                 cur += ch
                 continue
             parts.append(cur)
@@ -116,14 +130,14 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
             raise DslError(f"bad phase {text!r}", line, col)
         m = _PI_TERM.fullmatch(body)
         if m:
-            k = int(m.group(1)) if m.group(1) else 1
-            q = int(m.group(2)) if m.group(2) else 1
+            k = _int(m.group(1), line, col) if m.group(1) else 1
+            q = _int(m.group(2), line, col) if m.group(2) else 1
             if q == 0:
                 raise DslError(f"zero denominator in {text!r}", line, col)
             consts.append(Fraction(sign * k, q))
             continue
         if body.isdigit():
-            consts.append(Fraction(sign * int(body)))
+            consts.append(Fraction(sign * _int(body, line, col)))
             continue
         if body[0].isdigit() or body[0] == ".":
             try:
@@ -137,7 +151,7 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
                 continue
         m = _VAR_TERM.fullmatch(body)
         if m and m.group(2) != "pi":
-            terms.append((m.group(2), sign * (int(m.group(1)) if m.group(1) else 1)))
+            terms.append((m.group(2), sign * (_int(m.group(1), line, col) if m.group(1) else 1)))
             continue
         raise DslError(f"bad phase term {chunk!r} in {text!r}", line, col)
     if any(isinstance(c, float) for c in consts):  # degrade as the sum of phases does
@@ -172,10 +186,7 @@ def parse_param(text: str, line: int = 1, col: int = 1):
         fields = text[len("cyclo:") :].split(",")
         if len(fields) != 5:
             raise DslError(f"cyclo parameter needs 5 integers, got {text!r}", line, col)
-        try:
-            return Cyclo(*(int(f) for f in fields))
-        except ValueError:
-            raise DslError(f"bad cyclo parameter {text!r}", line, col) from None
+        return Cyclo(*(_int(f, line, col) for f in fields))
     if "@" in text:
         rho_text, _, arg_text = text.partition("@")
         try:
@@ -191,9 +202,10 @@ def parse_param(text: str, line: int = 1, col: int = 1):
         value = _parse_complex(text, line, col)
     else:
         try:
-            return int(text)
-        except ValueError:
-            pass
+            return _int(text, line, col)
+        except DslError:
+            if text.lstrip("+-").isdigit():  # an integer that `int` refuses
+                raise
         try:
             value = float(text)
         except ValueError:
@@ -257,10 +269,10 @@ class _Parser:
         k = self.take()
         if not self.toks[k].isdigit():
             raise self.error(f"expected {what}, got {self.toks[k]!r}", k)
-        return int(self.toks[k])
+        return self.value(_int, k)
 
     def value(self, read, k: int):
-        """`read` (`parse_phase` or `parse_param`) of token k; an error points at it."""
+        """`read` (`parse_phase`, `parse_param` or `_int`) of token k; an error points at it."""
         try:
             return read(self.toks[k])
         except DslError as e:

@@ -7,6 +7,12 @@ rules with continuous parameters are checked on sampled bindings in float
 arithmetic.  The verifier doubles as the transcription oracle: a rule enters
 a set only if every checked instance is sound.
 
+A grid rule's bindings that differ only in their `GRID8` phases are
+checked together: the pair is built once with a phase variable for each
+such name, each side is interpreted once over Laurent polynomials in
+z = e^{i phase}, and every binding is decided exactly from the difference.
+A binding with no such partner is checked concretely.
+
 Sets:
 
 =========  ====================================================================
@@ -29,8 +35,9 @@ from fractions import Fraction
 from . import diagrams as dg
 from . import gadgets as gad
 from .diagrams import Diagram
-from .rings import Cyclo
-from .semantics import EXACT, FLOAT, Float, eq_semantic, interp
+from .phases import Phase
+from .rings import Cyclo, is_zero
+from .semantics import EXACT, FLOAT, Float, eq_semantic, interp, laurent_difference
 
 F = Fraction
 
@@ -81,11 +88,19 @@ def _apply_variant(d: Diagram, variant: str) -> Diagram:
 
 def instantiate(rule: Rule, binding: dict, variant: str = "base"):
     """Build the concrete (lhs, rhs) pair for one binding and variant."""
+    _check_domain(rule, binding)
+    return _sides(rule, rule.build(binding), variant)
+
+
+def _check_domain(rule: Rule, binding: dict) -> None:
     for name, values in rule.grid:
         if name in binding and binding[name] not in values:
             raise RuleError(f"{rule.name}: {name}={binding[name]!r} outside domain")
-    lhs, rhs = rule.build(binding)
-    lhs, rhs = _apply_variant(lhs, variant), _apply_variant(rhs, variant)
+
+
+def _sides(rule: Rule, pair: tuple, variant: str):
+    """One variant of a built (lhs, rhs) pair, whose sides must agree on arity."""
+    lhs, rhs = (_apply_variant(d, variant) for d in pair)
     if lhs.shape != rhs.shape:
         raise RuleError(f"{rule.name}: sides disagree on arity {lhs.shape} vs {rhs.shape}")
     return lhs, rhs
@@ -757,6 +772,23 @@ def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
     return bindings
 
 
+def _decide_group(rule: Rule, group: list, phases: list, variants: tuple) -> dict:
+    """The verdicts per variant of each binding in `group`, which agree on
+    every name but the `GRID8` names in `phases`: one build with a phase
+    variable per name, one Laurent contraction per variant, and each
+    binding decided at its grid point z = omega^(4 * value)."""
+    for b in group:
+        _check_domain(rule, b)
+    pair = rule.build({**group[0], **{name: Phase.var(name) for name in phases}})
+    points = [[int(4 * b[name]) for name in phases] for b in group]
+    verdicts = [[] for _ in group]
+    for v in variants:
+        _, grid = laurent_difference(*_sides(rule, pair, v), phases, True)
+        for out, rs in zip(verdicts, points):
+            out.append(all(is_zero(e.at_omega(rs)) for e in grid))
+    return {id(b): out for b, out in zip(group, verdicts)}
+
+
 def verify_rule(
     rule: Rule,
     budget: int = 4096,
@@ -764,23 +796,46 @@ def verify_rule(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> RuleReport:
-    """Check one rule over its grid or sampled bindings, plus all variants."""
+    """Check one rule over its grid or sampled bindings, plus all variants.
+
+    Grid bindings that agree on all but their `GRID8` phases are decided
+    together (`_decide_group`), a lone one concretely; the report is that
+    of checking every instance concretely."""
     if budget < 0 or samples < 0:
         raise RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
-    approx = Float(tol)
+    approx = Float(tol)  # refuses a meaningless tolerance for exact rules too
+    mode = EXACT if rule.exact else approx
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = _bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)
+    phases = [name for name, values in rule.grid if values is GRID8]
+
+    def arities(b):
+        return tuple(v for k, v in b.items() if k not in phases)
+
+    groups: dict = {}
+    for b in bindings:
+        groups.setdefault(arities(b), []).append(b)
+    decided: dict = {}  # id(binding) -> its verdicts, for groups decided symbolically
     checked = failed = 0
     failures = []
     for b in bindings:
-        for v in variants:
-            lhs, rhs = instantiate(rule, b, v)
+        group = groups[arities(b)]
+        if phases and len(group) > 1:
+            if id(b) not in decided:
+                decided.update(_decide_group(rule, group, phases, variants))
+            verdicts = decided[id(b)]
+        else:
+            _check_domain(rule, b)
+            pair = rule.build(b)
+            verdicts = (eq_semantic(*_sides(rule, pair, v), mode) for v in variants)
+        for v, ok in zip(variants, verdicts):
             checked += 1
-            if eq_semantic(lhs, rhs, EXACT if rule.exact else approx):
+            if ok:
                 continue
             failed += 1
             if len(failures) < MAX_FAILURES:
+                lhs, rhs = instantiate(rule, b, v)
                 failures.append(
                     {
                         "binding": {k: _json_value(val) for k, val in b.items()},

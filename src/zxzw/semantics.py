@@ -471,17 +471,10 @@ def eq_linear(
     else:
         combos = sorted(rng.sample(range(total), 4096))
     exact = _constants_exact(d1) and _constants_exact(d2)
-    m1, m2 = (_laurent_interp(d, names, exact) for d in (d1, d2))
-    zero = Laurent({})
-    diff = [m1.get(k, zero) - m2.get(k, zero) for k in m1.keys() | m2.keys()]
-    diff = [e for e in diff if not e.is_zero()]
+    diff, grid = laurent_difference(d1, d2, names, exact)
     proved = exact and not diff
-
-    # In exact mode the grid is decided at once: the 8-point DFT over
-    # Z[1/2][omega] is invertible, so the difference vanishes on the whole
-    # grid exactly when it is zero mod z_v^8 - 1; the scan only finds the
-    # first witness.
-    grid = [e for e in (e.mod_z8() for e in diff) if not e.is_zero()] if exact else diff
+    # in exact mode an empty `grid` decides the whole grid at once; the
+    # scan only finds the first witness
     if grid:
         for checked, combo in enumerate(combos, 1):
             rs = [combo // 8**i % 8 for i in range(len(names))]
@@ -499,6 +492,23 @@ def eq_linear(
 
 def _negligible(x, tol: float) -> bool:
     return x.is_zero() if isinstance(x, Cyclo) else abs(x) <= tol
+
+
+def laurent_difference(d1: Diagram, d2: Diagram, names: list, exact: bool) -> tuple:
+    """The nonzero entries of `d1` minus `d2`, each side interpreted once
+    over Laurent polynomials in z_v = e^{iv} with one exponent slot per
+    name, and the entries that stay nonzero on the pi/4 grid.
+
+    In exact mode the second list holds the entries that are nonzero mod
+    z_v^8 - 1: as the 8-point DFT over Z[1/2][omega] is invertible, an
+    entry vanishes at every z_v = omega^r exactly when that remainder is
+    zero.  In float mode it is the first list."""
+    m1, m2 = (_laurent_interp(d, names, exact) for d in (d1, d2))
+    zero = Laurent({})
+    diff = [m1.get(k, zero) - m2.get(k, zero) for k in m1.keys() | m2.keys()]
+    diff = [e for e in diff if not e.is_zero()]
+    grid = [e for e in (e.mod_z8() for e in diff) if not e.is_zero()] if exact else diff
+    return diff, grid
 
 
 def _laurent_interp(d: Diagram, names: list, exact: bool) -> dict:

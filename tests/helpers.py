@@ -1,7 +1,7 @@
 """Shared test utilities: random diagram generation, matrices as numpy
 arrays for the oracles that compare against them, reference builders for
-the state gadgets, the one-site-per-step simplifier and the
-per-character tokenizer."""
+the state gadgets, the one-site-per-step simplifier, the per-character
+tokenizer and the one-instance-at-a-time rule verifier."""
 
 import random
 from collections import Counter
@@ -12,10 +12,12 @@ import numpy as np
 from zxzw import diagrams as dg
 from zxzw import gadgets as gad
 from zxzw import rewrite as rw
+from zxzw import rules as ru
 from zxzw.diagrams import CROSS, CROSS_CYCLE, CalculusMismatch, Diagram, DiagramError, Gen
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rings import Cyclo
+from zxzw.semantics import EXACT, FLOAT, Float, eq_semantic, interp
 
 _FIXED = {"H": (1, 1), "W11": (1, 1), "W12": (1, 2), "CROSS": (2, 2), "HALF": (0, 0)}
 
@@ -237,3 +239,35 @@ def reference_tokens(src: str) -> list[tuple[str, int, int]]:
                 col += 1
             toks.append((src[start:i], line, start_col))
     return toks
+
+
+def reference_verify_rule(rule, budget=4096, samples=1000, seed=0, tol=1e-9):
+    """The verifier that `rules.verify_rule` replaced, which builds every
+    binding and variant with `instantiate` and compares it concretely: the
+    reference for its reports."""
+    if budget < 0 or samples < 0:
+        raise ru.RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
+    approx = Float(tol)
+    rng = random.Random(f"{seed}:{rule.name}")
+    bindings = ru._bindings_for(rule, budget, samples, rng)
+    variants = ("base",) + tuple(rule.variants)
+    checked = failed = 0
+    failures = []
+    for b in bindings:
+        for v in variants:
+            lhs, rhs = ru.instantiate(rule, b, v)
+            checked += 1
+            if eq_semantic(lhs, rhs, EXACT if rule.exact else approx):
+                continue
+            failed += 1
+            if len(failures) < ru.MAX_FAILURES:
+                failures.append(
+                    {
+                        "binding": {k: ru._json_value(val) for k, val in b.items()},
+                        "variant": v,
+                        "lhs_matrix": ru._json_matrix(interp(lhs, FLOAT)),
+                        "rhs_matrix": ru._json_matrix(interp(rhs, FLOAT)),
+                    }
+                )
+    status = "PASS" if checked and not failed else "FAIL"
+    return ru.RuleReport(rule.name, checked, status, failures, failed)

@@ -165,6 +165,31 @@ def test_non_finite_literal_is_an_input_error(tmp_path, command, text):
     assert "non-finite" in proc.stderr
 
 
+LONG = "7" * 5000  # more digits than `int` converts by default
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        (f"(Z 1 1 {LONG})", 8),
+        (f"(Z {LONG} 1)", 4),
+        (f"(X 1 1 {LONG}*pi/4)", 8),
+        (f"(Z 1 1 pi/{LONG})", 8),
+        (f"(Z 1 1 {LONG}a)", 8),
+        (f"(wz 1 1 {LONG})", 9),
+        (f"(wz 1 1 cyclo:1,{LONG},0,0,0)", 9),
+    ],
+    ids=["phase", "arity", "pi-multiple", "pi-denominator", "coefficient", "parameter", "cyclo-field"],
+)
+def test_very_long_integer_is_an_input_error(tmp_path, capsys, text, col):
+    f = write(tmp_path, "long.zx", f"(seq id\n  {text})\n")
+    assert main(["eval", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {f}: line 2, col {col + 2}: cannot read '7777")
+    assert err.count("\n") == 1 and len(err) < 200 + len(f)
+
+
 def _limit_memory():
     # a regression to building every row of a 2^40-row matrix ends in a
     # MemoryError here, not in filling the machine

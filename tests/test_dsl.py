@@ -1,5 +1,6 @@
 """Diagram text: parsing, printing, and their round trip."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -77,6 +78,15 @@ def test_phase_grammar():
     assert parse_phase("1e-05") == Phase.radians(1e-05)
     assert parse("(Z 1 1)").nodes[0].phase == Phase.ZERO
     assert parse("(X 2 0 pi)").nodes[0].phase == Phase.PI
+
+
+def test_sign_after_a_leading_e_splits():
+    # a sign is a float exponent's only after a float's digits and an "e"
+    assert parse_phase("e-5") == parse_phase("-5+e") == Phase.PI + Phase.var("e")
+    assert parse_phase("a1e-5") == parse_phase("-5+a1e")
+    assert parse_phase("e-a") == Phase.var("e") - Phase.var("a")
+    assert repr(parse_phase("1e-5+pi/4")) == repr(Phase.radians(1e-5 + math.pi / 4))
+    assert repr(parse_phase("0.3+pi")) == repr(Phase.radians(0.3 + math.pi))
 
 
 def _float(text: str):

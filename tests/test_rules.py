@@ -8,14 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_verify_rule
 from zxzw import rules as ru
 from zxzw.matrices import Matrix
+from zxzw.phases import Phase
 from zxzw import semantics
 from zxzw.semantics import EXACT, FLOAT, interp
 
 F = Fraction
 
 SET_NAMES = ("zx-pi2", "zx-pi4", "zx-pi4a", "zx-t", "zw", "zw-half")
+
+# every rule of the six sets once, then the ten corrupted controls
+RULES_AND_CONTROLS = list({id(r): r for name in SET_NAMES for r in ru.axiom_set(name)}.values())
+RULES_AND_CONTROLS += ru.corrupted_rules()
 
 
 def test_set_compositions():
@@ -139,3 +145,34 @@ def test_bindings_above_budget_are_distinct_grid_points(rule, budget):
     assert len(bindings) == budget
     assert len({tuple(sorted(b.items())) for b in bindings}) == budget
     assert all(b.keys() == grid.keys() and all(b[k] in grid[k] for k in b) for b in bindings)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("budget", [0, 1, 48, 300])
+def test_grouped_verifier_matches_the_reference(budget, seed):
+    # groups of grid bindings are decided symbolically, lone ones concretely;
+    # the reports are those of checking every instance concretely
+    for rule in RULES_AND_CONTROLS:
+        got = ru.verify_rule(rule, budget, samples=4, seed=seed)
+        want = reference_verify_rule(rule, budget, samples=4, seed=seed)
+        assert (got.to_json(), got.failed) == (want.to_json(), want.failed), rule.name
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [r for r in RULES_AND_CONTROLS if any(values is ru.GRID8 for _, values in r.grid)],
+    ids=lambda r: r.name,
+)
+def test_builders_are_natural_in_their_phases(rule):
+    # the symbolic check rests on this: building with phase variables and
+    # then substituting a grid point gives the concrete build at that point
+    phases = [name for name, values in rule.grid if values is ru.GRID8]
+    rng = random.Random(rule.name)
+    for b in ru._bindings_for(rule, 6, 0, rng):
+        pair = rule.build({**b, **{name: Phase.var(name) for name in phases}})
+        for _ in range(4):
+            point = {name: rng.choice(ru.GRID8) for name in phases}
+            for variant in ("base",) + rule.variants:
+                sides = ru._sides(rule, pair, variant)
+                got = tuple(d.substitute(point) for d in sides)
+                assert got == ru.instantiate(rule, {**b, **point}, variant), (b, point, variant)
