@@ -127,12 +127,16 @@ def _cmd_eval(args) -> int:
     mode = _pick_mode(args, d)
     m = interp(d, mode)
     exact = isinstance(mode, Exact)
-    if args.json:
-        print(json.dumps(matrix_json(d, m, exact), indent=2))
-    else:
-        print(f"{d.n_in} -> {d.n_out}  [{'exact' if exact else 'float'}]")
-        for row in m.to_rows():
-            print("  ".join(_entry_text(v) for v in row))
+    try:  # an exact entry can outgrow a float, or the int-to-text limit
+        if args.json:
+            text = json.dumps(matrix_json(d, m, exact), indent=2)
+        else:
+            lines = [f"{d.n_in} -> {d.n_out}  [{'exact' if exact else 'float'}]"]
+            lines += ["  ".join(_entry_text(v) for v in row) for row in m.to_rows()]
+            text = "\n".join(lines)
+    except (OverflowError, ValueError):
+        raise InputError(f"{args.file}: an entry is too large to print") from None
+    print(text)
     return 0
 
 

@@ -5,12 +5,14 @@ constructions below realise those scalars, the Clifford entanglers, and the
 non-unitary pieces (the triangle and the w nodes) out of plain spiders so
 that translations and rewrite rules never have to leave the calculus.
 
-The triangle [[1,1],[0,1]] is the linchpin: it is the only piece here whose
-interpretation is not proportional to an isometry (it sends |0> to a unit
-vector but |1> to one of norm sqrt(2)), and that norm asymmetry is exactly
-what the w nodes need.  The addition node [[1,0,0,0],[0,1,1,0]] cannot be
-written as spider-merge of dressed wires at all: its kernel contains a
-single product state, while any dressed merge kernel contains two.
+The non-unitary pieces are chains of plugged spiders: a spider with one leg
+fed by a one-legged spider of the other colour.  Six such factors give the
+triangle [[1,1],[0,1]], and six with other plugs the tensor
+K = [[1,1],[1,0]] (the triangle after a not).  The addition node
+[[1,0,0,0],[0,1,1,0]] cannot be written as spider-merge of dressed wires
+at all: its kernel contains a single product state, while any dressed merge
+kernel contains two.  So it copies both inputs, joins the spare copies
+through K, and merges the others.
 
 Parameter-free fragments are built once and shared (`Diagram` and `Gen` are
 immutable), each compound one with at most one scalar part (`unit_scalar`).
@@ -70,32 +72,34 @@ def loop_h2(a: PhaseLike, b: PhaseLike) -> Diagram:
     return trace1(dg.seq(dg.z(1, 1, a), dg.h(), dg.z(1, 1, b), dg.h()))
 
 
-@functools.cache
-def half_scalar() -> Diagram:
-    # (2 + sqrt2)(2 - sqrt2) / 4 = 1/2, and each factor is a single h loop
-    return loop_h2(Fraction(1, 4), Fraction(3, 4)).tensor(
-        loop_h2(Fraction(-1, 4), Fraction(-3, 4))
-    )
+def _star(phase: PhaseLike, legs) -> Diagram:
+    """A z spider of the phase whose legs end on x costates of phase pi,
+    an n-legged one worth sqrt(2)^(2 - n) for odd n."""
+    return dg.seq(dg.z(0, sum(legs), phase), dg.ten(*[dg.x(n, 0, 1) for n in legs]))
 
 
 def unit_phase(phase: PhaseLike) -> Diagram:
-    """Scalar e^{i a} exactly (no residual normalisation)."""
-    return dg.ten(phase_gadget(phase), half_scalar(), sqrt2())
+    """Scalar e^{i a} exactly, in three nodes: costates worth 1/sqrt(2) and sqrt(2)."""
+    return _star(phase, (3, 1))
 
 
 def unit_scalar(j: int, k: int) -> Diagram:
     """Scalar omega^j * sqrt(2)^k, exactly, in at most three nodes for k >= 1.
 
-    A z spider of phase j*pi/4 carries omega^j; its legs end on x costates
-    of phase pi, an n-legged one worth sqrt(2)^(2 - n) for odd n.  The rest
-    of the power is closed loops (2) or two-node halves.
+    A `_star` of phase j*pi/4 carries omega^j and a power of sqrt(2); the
+    rest of the power is closed loops (2) or two-node halves.
     """
     legs = [1 if k > 0 else 3] + [1] * ((k + 1) % 2) if j % 8 or k % 2 else []
     k -= sum(2 - n for n in legs)
-    costates = [dg.x(n, 0, 1) for n in legs]
-    star = [dg.seq(dg.z(0, sum(legs), Fraction(j % 8, 4)), dg.ten(*costates))] if legs else []
+    star = [_star(Fraction(j % 8, 4), legs)] if legs else []
     half = dg.seq(dg.z(0, 3, Fraction(1, 4)), dg.x(3, 0, Fraction(-1, 4)))
     return dg.ten(*star, circles(max(k, 0) // 2), *[half] * (max(-k, 0) // 2))
+
+
+@functools.cache
+def half_scalar() -> Diagram:
+    """Scalar 1/2."""
+    return unit_scalar(0, -2)
 
 
 def _gadget(build):
@@ -156,51 +160,67 @@ def crossing() -> Diagram:
     return dg.seq(cz(), Diagram.swap())
 
 
+def _fed(spider: Diagram, state: Diagram) -> Diagram:
+    """A two-input spider with its second input plugged by a one-legged state."""
+    return dg.seq(dg.ten(wire(), state), spider)
+
+
+def _chain(plug: PhaseLike) -> Diagram:
+    """The last five factors of the triangle and of K; `plug` is the first one's.
+
+    Each of the six factors is a spider fed by a state of the other colour,
+    or a lone z(pi/4), and an exact search over pi/4 phases found no
+    shorter chain for either map.
+    """
+    quarter = Fraction(1, 4)
+    return dg.seq(
+        _fed(dg.x(2, 1, 0), dg.z(0, 1, plug)),
+        dg.z(1, 1, quarter),
+        _fed(dg.x(2, 1, Fraction(1, 2)), dg.z(0, 1, quarter)),
+        dg.z(1, 1, quarter),
+        _fed(dg.x(2, 1, 0), dg.z(0, 1, quarter)),
+    )
+
+
 @_gadget
 def triangle() -> Diagram:
     """The 1->1 map [[1,1],[0,1]] from plain pi/4 spiders.
 
-    A controlled-not sandwich: the ancilla is prepared proportional to
-    (1, 1+sqrt2) (an x merge of pi/2 and pi/4 z states), flows through the
-    two controlled-nots with a hadamard between them, and is discarded
-    against the costate proportional to (1, sqrt2-1); the main wire carries
-    the symmetric non-unitary core [[1, 1/sqrt2], [1/sqrt2, 1]] (an x merge
-    with the plug (sqrt2, 1)).  Entrywise the open part equals
-    i*sqrt2 * [[1,1],[0,1]], and two scalar loops cancel the i*sqrt2.
+    A z(pi/2) fed by an x(7pi/4) state, then `_chain(3pi/4)`.  The chain
+    is -omega^3/2 times the triangle, and `unit_scalar(1, 2)` = 2 omega
+    cancels that.
     """
-    delta = merge_x(dg.z(0, 1, Fraction(1, 2)), dg.z(0, 1, Fraction(1, 4)))
-    beta = dg.flip(
-        merge_x(dg.z(0, 1, Fraction(1, 2)), dg.z(0, 1, Fraction(-1, 4)))
-    )
-    core = dg.seq(
-        dg.ten(wire(), cos_plug(Fraction(1, 4))), dg.x(2, 1, 0)
-    )
+    first = _fed(dg.z(2, 1, Fraction(1, 2)), dg.x(0, 1, Fraction(7, 4)))
+    return dg.seq(first, _chain(Fraction(3, 4))).tensor(unit_scalar(1, 2))
+
+
+def _w_node(merge: PhaseLike) -> Diagram:
+    """w_add followed by x(1, 1, merge): 0 gives w_add, pi the w node.
+
+    Each input is copied by a z spider.  One copy of each meets the other
+    in K = [[1,1],[1,0]]: a z(pi/2) fed by an x(5pi/4) state, then
+    `_chain(5pi/4)` and a cup, with the z(pi/2) fused into input a's copy.
+    The other copies meet in an x merge of phase `merge`, into which a not
+    fuses.  The body is (1 - omega^2)/4 times the map, and
+    `unit_scalar(1, 3)` cancels that.
+    """
+    copy_a = _fed(dg.z(2, 2, Fraction(1, 2)), dg.x(0, 1, Fraction(5, 4)))
     body = dg.seq(
-        dg.ten(wire(), delta),
-        cnot(),
-        dg.ten(core, dg.h()),
-        cnot(),
-        dg.ten(wire(), beta),
+        dg.ten(copy_a, dg.z(1, 2, 0)),
+        dg.ten(wire(), _chain(Fraction(5, 4)), Diagram.identity(2)),
+        dg.ten(wire(), Diagram.cup(), wire()),
+        dg.x(2, 1, merge),
     )
-    return dg.ten(
-        body, loop_h2(Fraction(1, 4), Fraction(5, 4)), loop_h1(Fraction(1, 2))
-    )
+    return body.tensor(unit_scalar(1, 3))
 
 
 @_gadget
 def w_add() -> Diagram:
     """The 2->1 addition node [[1,0,0,0],[0,1,1,0]].
 
-    Sends (1,a) (x) (1,b) to (1, a+b).  A controlled-not (control on the
-    second wire) followed by a flipped triangle on that wire and a z merge;
-    the triangle supplies the norm boost |11> -> |01> + |10> needs, and the
-    whole thing lands on the target with no scalar correction at all.
+    Sends (1,a) (x) (1,b) to (1, a+b).
     """
-    return dg.seq(
-        cnot_down(),
-        dg.ten(wire(), dg.flip(triangle())),
-        dg.z(2, 1, 0),
-    )
+    return _w_node(0)
 
 
 @_gadget
@@ -211,8 +231,8 @@ def w_split() -> Diagram:
 
 @_gadget
 def w21_zx() -> Diagram:
-    """The 2->1 w node [[0,1,1,0],[1,0,0,0]] in pi/4 spiders."""
-    return dg.seq(w_add(), dg.x(1, 1, 1))
+    """The 2->1 w node [[0,1,1,0],[1,0,0,0]] in pi/4 spiders: not . w_add."""
+    return _w_node(1)
 
 
 @_gadget
@@ -272,18 +292,21 @@ def int_state(n: int) -> Diagram:
     Horner's rule over the binary digits of |n|, as one `seq` of 1->1
     stages: each further digit doubles by a z merge with (1, 2), and a 1
     digit then adds the sign unit (1, +-1) with `w_add`.  The leading
-    value 1, 2 or 3 is a unary sum of units, smaller than its Horner form.
+    value 1, 2 or 3 is the sign unit, or (1, 2) with a z pi for a negative
+    sign, plus the sign unit for 3.
     """
     if n == 0:
         return zero_state()
     unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
-    add = _stage(unit, w_add()) if abs(n) > 1 else None  # built only when used
+    add = _stage(unit, w_add()) if abs(n) > 2 else None  # built only when used
     double = _stage(_two_state(), dg.z(2, 1, 0)) if abs(n) > 3 else None
     digits = bin(abs(n))[2:]
-    stages = [add] * (int(digits[:2], 2) - 1)
+    lead = int(digits[:2], 2)
+    head = unit if lead == 1 else _two_state() if n > 0 else dg.seq(_two_state(), dg.z(1, 1, 1))
+    stages = [add] if lead == 3 else []
     for digit in digits[2:]:
         stages += [double, add] if digit == "1" else [double]
-    return dg.seq(unit, *stages)
+    return dg.seq(head, *stages)
 
 
 def ring_state(r) -> Diagram:

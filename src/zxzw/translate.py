@@ -48,8 +48,8 @@ def zw_triangle(r) -> Diagram:
 
 @functools.cache
 def _zero_costate_zw() -> Diagram:
-    # |0> = W11 . W21 . cap, flipped
-    return dg.flip(dg.seq(Diagram.cap(), dg.w21(), dg.w11()))
+    """The costate <0|: a white node of parameter 0, worth <0| + 0 <1|."""
+    return dg.white(1, 0, 0)
 
 
 @functools.cache
@@ -185,7 +185,7 @@ def zw_to_zx(d: Diagram) -> Diagram:
     White nodes with a unit parameter omega^k are green spiders directly;
     any other parameter becomes a phaseless green spider with one extra leg
     capped by a (1, r) plug — exact for ring parameters, float otherwise.
-    The black nodes ride on the triangle construction.
+    The black nodes are `gadgets.w12_zx`, built on the K chain.
     """
     if d.tag not in (None, "zw"):
         raise TranslateError(f"expected a zw diagram, got tag {d.tag!r}")

@@ -161,8 +161,11 @@ def reference_int_state(n: int) -> Diagram:
         return gad.zero_state()
     unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
     digits = bin(abs(n))[2:]
-    out = unit
-    for _ in range(int(digits[:2], 2) - 1):
+    lead = int(digits[:2], 2)
+    out = unit if lead == 1 else gad._two_state()
+    if lead > 1 and n < 0:
+        out = dg.seq(out, dg.z(1, 1, 1))
+    if lead == 3:
         out = dg.seq(dg.ten(out, unit), gad.w_add())
     for digit in digits[2:]:
         out = dg.seq(dg.ten(out, gad._two_state()), dg.z(2, 1, 0))

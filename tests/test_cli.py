@@ -190,6 +190,23 @@ def test_very_long_integer_is_an_input_error(tmp_path, capsys, text, col):
     assert err.count("\n") == 1 and len(err) < 200 + len(f)
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_eval_of_an_entry_too_large_to_print_is_one_error_line(tmp_path, flags):
+    # each parameter parses, but their product has 4,400 digits: more than
+    # an int prints as text (4,300 by default), and more than a float holds
+    if not flags and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    big = "9" * 2200
+    f = write(tmp_path, "big.zw", f"(seq (wz 1 1 {big}) (wz 1 1 {big}))\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zxzw.cli", "eval", f, *flags], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {f}: ") and proc.stderr.count("\n") == 1
+    assert "too large" in proc.stderr
+
+
 def _limit_memory():
     # a regression to building every row of a 2^40-row matrix ends in a
     # MemoryError here, not in filling the machine

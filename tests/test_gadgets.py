@@ -65,6 +65,13 @@ def test_half_scalar():
 @settings(max_examples=20, deadline=None)
 def test_unit_phase(k):
     assert scalar_of(gad.unit_phase(Fraction(k, 4))) == Cyclo.omega_power(k)
+    assert len(gad.unit_phase(Fraction(k, 4)).nodes) == 3
+
+
+def test_unit_phase_float():
+    for a in (0.3, -2.5, 1e-9):
+        got = interp(gad.unit_phase(a), FLOAT)[0, 0]
+        assert abs(got - cmath.exp(1j * a)) < 1e-12
 
 
 def omega_sqrt2(j, k):
@@ -154,6 +161,9 @@ def test_int_state_size_is_logarithmic():
         if n:
             unary = abs(n) + (abs(n) - 1) * w_add
             assert len(gad.int_state(n).nodes) <= unary, n
+    # a leading 2 is the (1, 2) state, and a z pi for its sign
+    assert len(gad.int_state(2).nodes) == len(gad._two_state().nodes)
+    assert len(gad.int_state(-2).nodes) == len(gad._two_state().nodes) + 1
     # 5 = 2 doubled plus 1: the most one binary digit after the first two costs
     per_digit = len(gad.int_state(5).nodes) - len(gad.int_state(2).nodes)
     for n in (10**6, -(2**40) - 1, 3**50):
@@ -200,10 +210,12 @@ def test_compacted_gadgets_keep_their_matrix_and_one_scalar_part(name):
 
 
 def test_compacted_gadget_sizes():
-    # node counts before: 25, 30, 30, 31, 31, 11, 41 and 26 (the last two
-    # were built on w_add and the triangle, not on two cos plugs)
-    sizes = {"triangle": 17, "w_add": 21, "w_split": 21, "w21_zx": 22, "w12_zx": 22,
-             "zero_state": 3, "half_state": 9, "_two_state": 8}
+    # node counts before compaction: 25, 30, 30, 31, 31, 11, 41 and 26 (the
+    # last two were built on w_add and the triangle, not on two cos plugs);
+    # the triangle, w_add and the w nodes were 17, 21 and 22 when they were
+    # built on controlled nots
+    sizes = {"triangle": 13, "w_add": 14, "w_split": 14, "w21_zx": 14, "w12_zx": 14,
+             "zero_state": 3, "half_state": 9, "_two_state": 8, "half_scalar": 2}
     for name, size in sizes.items():
         assert len(getattr(gad, name)().nodes) <= size, name
 

@@ -279,8 +279,8 @@ GOLDEN = [
         '(seq cap cup)',
         [('h-cancel', (0, 1))],
         (
-            '85e763f9642a449cf8bfead9733a15575d29e8524602c6891f73e3cb9d18909c',
-            'a69e7a8ee6a82d8ae2391e12295de99e24e1bc27d98f0ae2dadea82d5b8241c2',
+            'c7e97a4ed05dae628a9517beda1388f72b4bf5be185524542ab13c7199671366',
+            'b03f3cb2c8a656faee14c5ec6e40728c16eb9f27bb40975a63a0d4d1d0a8f444',
             'd1970945a0e7d01cd038f5948dd5ee1f4efa86fa7e4dc414d27c2ddae3f0f781',
         ),
     ),
@@ -289,8 +289,8 @@ GOLDEN = [
         'H',
         [('h-cancel', (0, 1))],
         (
-            '18fab543333ae4c23eb43a5e3f64485d021a4c2b7e0ea3ccc484b0863c64822a',
-            'c265cb5a57a0f2603273072240b444c0fc37a8f448fb0d97e37bb019143b220e',
+            '72ae6e18ceaa638cd4a2397a795f2ebf8eb08a5197b50171e54b4d3cfd199365',
+            '85220224e930cfe2dd9d6c5e09df369fc25640bb557d0f1ac10cc7821df15949',
             '6b6ec5572c4d5aca60b289adf8fa6ff70d0955879124a110299d5740f2e0b544',
         ),
     ),
@@ -319,8 +319,8 @@ GOLDEN = [
         '(seq (ten id cap cap cap) (perm 0 1 4 2 5 3 6) (ten (X 2 2 5*pi/4) H H id id id) (perm 3 5 1 0 2 4 6) (ten id cup cup cup))',
         [('fusion', (0, 2)), ('fusion', (0, 2))],
         (
-            '4be53f1b32e00d120c56166565a72ff3b25f6d739ec797f1ad4f1adf859c0e7b',
-            '23475218f14bcd943d2b31df4e0eeb2cd272f648a305318e020dadd637ca9006',
+            'd2e9206083479fddfb086d45d47a215e6d6d2573ef0aad6a6e04a1a80e68f872',
+            '10d1b55a0b23897fd6abe25d51291ee899a7d9ddb8aa839edcb245c4df2ccd8e',
             '2e0ec85e071ca5e52a853c92d3ccc626533b6b532ecc591abaa06a2877e89036',
         ),
     ),
@@ -329,7 +329,7 @@ GOLDEN = [
         '(seq (ten id cap) (ten (wz 1 1 cyclo:0,-2,0,0,0) (W 1 1) id) (perm 1 0 2) (ten id cup))',
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
-            '497e5c87c6ba589da36c28efd5792ef964bbb55d5ba52dbffc77755a6e5217c7',
+            'af383925867f9bfdd9fbcc23796453ccd2974147c99268bed723fa696c6a9a68',
             None,
             None,
         ),
@@ -339,7 +339,7 @@ GOLDEN = [
         '(seq (ten id cap cap cap cap cap) (perm 0 1 6 2 7 3 8 4 9 5 10) (ten (wz 1 1 1) (W 1 2) (wz 1 1 2) (wz 1 1 3) (zw-cross) id id id id id) (perm 2 4 6 8 10 0 1 3 5 7 9 11) (ten id id cup cup cup cup cup))',
         [],
         (
-            'f0c2cf4509139844f015c077d54c3627361ef8f9017ea3ba2f0fbf289b9af863',
+            'c0e948b6494a792a72813780f535a810341a0e9552d6d2249463f76f21380a3d',
             None,
             None,
         ),
@@ -349,8 +349,8 @@ GOLDEN = [
         '(seq (ten id cap cap cap) (perm 0 1 4 2 5 3 6) (ten (Z 1 1 pi/2) (tri 1) (tri -1) (X 1 1 pi) id id id) (perm 1 3 5 0 2 4 6) (ten id cup cup cup))',
         [('identity-removal', 2)],
         (
-            'f876c0c9255c60ac55cbc9509ad220a4d0e0adaeb5f3fa0c4ce7c711a0b15c34',
-            '2b54b4014d7079539f729c676a5bb0a0c4828d82dfee7f3a974bec86a452b8f4',
+            '41387a31826b1fa1b8f47062dbe41308ad2c67ad77ffb2df812a62d589a918b5',
+            'a92f636ef203071fbed3533652769dfaeb86acc172d35b9afca8fc7836ba8523',
             '931482eb3b5218d8afb4cf3987a1fc8a5f86ff7836953709210cea488c1d6d0b',
         ),
     ),
@@ -359,8 +359,8 @@ GOLDEN = [
         'H',
         [('identity-removal', 0), ('identity-removal', 1)],
         (
-            'ccc2f455a4fb6602b763c5043060d137eeeb1042e754b1f5bf0826e6bf989711',
-            'aa4fe32ad1b03504eddb4a96628c93421feec9fb3b2c511c88a2ad0d88587dae',
+            '878898405d841d08b797b41362d35e88a69a72240fceede7341eef714b11b237',
+            'a9682bef00d68e0644966945035c51aa5fe36587e0f58b056d2750c0521cb823',
             '4c242769fb40dddafa87b01085af1960905541721596352eaf9f5793ae67478d',
         ),
     ),
@@ -369,8 +369,8 @@ GOLDEN = [
         '(seq (ten id cap) (ten (X 1 1 pi/2) (Z 1 1 pi/4) id) (perm 1 0 2) (ten id cup))',
         [('h-cancel', (1, 2))],
         (
-            '6a9a44f013534e7468b4b03c30789276b3b45effc74ef414af10cb98b36fda31',
-            '6381b871e0370a6a2c5bdf32b76ca581014c5a35668b042bc06bb9df27e703d1',
+            'aecc05cc4ccd35e381a4a384e928cd046b7f467b62255fc60368f9e8359ae4df',
+            'cb79d495823b69f249004f3f7f3c17f93ad25958ae096ab03fd46962a53d9ff7',
             '920d6d3f56a133db7a60e65de86a4ca1fd00f86ec6aab64476bee737d77c73fe',
         ),
     ),
@@ -379,8 +379,8 @@ GOLDEN = [
         '(seq (perm 1 0) (ten (Z 1 0 0) (Z 0 1 7*pi/4) id) (perm 1 0))',
         [('h-cancel', (0, 3)), ('h-cancel', (0, 1))],
         (
-            '91d1fa2ca80eeb0a8f9a4dacb5ba89ce3c43ccd43d5beb7d5307fc740d6636e0',
-            '7e6ea8525a5b93849f118f74de423ca4ee0b8286dcd612c316dba7ecdfcc95ec',
+            '3d1d1d321c835ba4516b7947441496e57ed147e5155fa9e82088e686811f12b0',
+            '5df3e152ba0659f7d85573080ce47a0825dbc89563d2fd2cac400bb061449e42',
             '242f5c7f9fd9c7dcaa69b6e48d8e923a09b6f829545d0d708f8e310f9537ef3b',
         ),
     ),
@@ -389,8 +389,8 @@ GOLDEN = [
         '(seq (ten id cap) (perm 1 0 2) (ten (Z 0 2 pi/2) (Z 1 0 0) id id) (perm 2 3 0 1) (ten id id cup))',
         [('fusion', (1, 2)), ('fusion', (1, 2)), ('h-cancel', (0, 2))],
         (
-            '0d31fe150e098044ed95be50a32bec8736481eac016e2114f7c72a9a50bdd914',
-            '5ddeab8281f410cfe8de48ba91908ec8647d675412a5228d36f4beabef50ec93',
+            '16167450e44433df3d3c9b1a6d284a4a86632b81807468f5bc7580e97f6b0812',
+            '48e6aa3fcb6eda9204334f377e114bfb832a43822a954e8cb70589f9d0d3ebc3',
             '290e04818e095d6af003e643ea103e8f6980e12b8d23eddc9fbc9492a8c959cf',
         ),
     ),
@@ -399,8 +399,8 @@ GOLDEN = [
         '(ten id (seq cap cup))',
         [('fusion', (2, 3)), ('h-cancel', (0, 1)), ('scalar-merge', ('two', 0))],
         (
-            '60886b13e289abd0e556a42c0e0b8ac8e34ad61cf3a3ce4cd95e262bc7a37e08',
-            '4937e5a221aaa6782b080565398e8c148ecce415cfd978e37318bf82a7c75e34',
+            '68ba27f342057fca910e3b886f8649995bf4f7e7746e7721dfd3523ecf55e5f7',
+            '9ee491d7b53af7a60c99c441f66c19cdd070d9e105ca540151e5f0acc9bd724a',
             '1e555b7db5afa3c8ef9ce64d82da5681c649b926b59c74c0e30891de3ecee260',
         ),
     ),
@@ -409,8 +409,8 @@ GOLDEN = [
         '(ten (seq (ten id id cap cap) (perm 3 0 1 4 2 5) (ten (Z 2 1 pi) (X 1 2 0) id id id) (perm 4 2 0 1 3 5) (ten cup cup cup)) (seq cap cup))',
         [('fusion', (0, 3)), ('fusion', (0, 1)), ('fusion', (0, 1)), ('fusion', (0, 1))],
         (
-            'fed3de62ea330f7723cc1795de1a0d9a7fcab4cd873027ef6780f11e1fd19ff4',
-            '79e58dc30926042b678472c3604084dd3ea2c7358990d2a2891ceabca8b7523d',
+            '41e14545b48f6c140a323493b1669b6811d52691e1b4db8e3fade18abcb50bf8',
+            '062ac86dc88788c1a41f5293be5dd725d36e676734935bdc7bdff36134917b93',
             '1ec45a09e20cbad44f11ea3e03c29fb3609f2f042f57271d0e3e2a6093dccf01',
         ),
     ),
@@ -419,8 +419,8 @@ GOLDEN = [
         '(ten (seq (ten id id cap cap cap) (perm 0 5 1 3 4 6 2 7) (ten (X 2 2 7*pi/4) H (Z 1 0 0) (Z 1 0 0) id id id) (perm 2 4 3 0 5 1) (ten id id cup cup)) (seq cap cup))',
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
-            '98e5f6637e9d00f117f51b249a0a7356fb129a288a10d7fa611dd1fa90aae2f9',
-            '3f30081728cbeb0073ef4188a7af6cb7ff9f771836bddcb9f455329c2e8bfdf5',
+            'e0b73f950286bcdac8468caa08869e796590689d2817804864a226d6776a8be3',
+            'fa3c149c490a36b7e5b1377ca7fc98f3fb8bbc4ed6701d427dc07296835c3ae8',
             '81e1903d24bd290e11d52e65280351bcd1d4c970003b6eafdd2103b6c36c87dc',
         ),
     ),
@@ -429,8 +429,8 @@ GOLDEN = [
         '(ten (seq (ten id cap cap) (perm 3 0 4 1 2) (ten (X 2 0 pi) (Z 2 1 3*pi/4) id) cup) (seq cap cup))',
         [('fusion', (0, 1)), ('fusion', (0, 4)), ('fusion', (1, 2)), ('fusion', (1, 2))],
         (
-            'a73647474fe0474ba1571e18d54e9a3803d649cee13589ac582e82ce36926501',
-            '96cf5f7f3529c65daef95df4c8fa19f50e34acc1d1af97a7587de3fe125e3816',
+            '7255114306854b1296a500848b3e83daa65d73666e49f7484e76779db8fa59e3',
+            'edacb7d22824a9487f72da73a77c5ac2937f3c8ac325fe211e42b2e62eeb6d20',
             'cf83625a82411cb97dc8721c24f7544d2bf038a3a8ec3e85da4069d2818edd4b',
         ),
     ),
@@ -439,8 +439,8 @@ GOLDEN = [
         '(ten (seq (ten id cap) (perm 2 0 1) (ten (X 1 1 3*pi/4) (Z 1 0 0) id)) (seq cap cup))',
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
-            '2c4fcf7cc12ad14bff2b71c46102784459a881c5c94a6ce76f3e432199f61fa5',
-            'c02c623208e175f29f2b2e8ad089e8f44a29c1627ca24f131fe8acb342233abe',
+            '095d9e4f88d93a3488057ad705c5b1fe77b713c82dcb47032874a8819cf7a9ae',
+            '1d972b28c8e71386aa37472b01d8c73fcf86ddb55a8f6dbd21e93811b10e3ee7',
             '3f6073b876d5cb8de04de4d800e2d49f86b05e185b6fdfc35d003d87be1ab534',
         ),
     ),
@@ -449,7 +449,7 @@ GOLDEN = [
         '(seq (ten id cap) (perm 2 0 1) (ten (wz 0 2 -1) half (zw-cross) (wz 1 0 1)) (perm 2 1 0 3) (ten id id cup))',
         [('fusion', (0, 1)), ('fusion', (0, 1))],
         (
-            'b3eb6245cb59daa7caf0523c85e5f4de75a630ee4ddef9447426b302eb1cd9d8',
+            'f50cbff40dffad0408aae16d7b69610e423220d00ad8f3c5e633029dd2da773d',
             None,
             None,
         ),
@@ -459,7 +459,7 @@ GOLDEN = [
         '(seq (ten id id cap cap) (perm 4 0 1 5 2 3) (ten half (wz 1 0 1) (zw-cross) (wz 1 2 2) half id id) (perm 4 2 1 5 0 3) (ten id id cup cup))',
         [('fusion', (1, 6)), ('fusion', (3, 4))],
         (
-            'a28deec96413886bc03ac1e1ba5aafa3d4a4688bec56ea8bdc391e2bb1119258',
+            '48db532e5c81f8b30e33593ca3701e82ffa58d9018a7468e072eb131ebfe3e81',
             None,
             None,
         ),
@@ -469,7 +469,7 @@ GOLDEN = [
         '(ten (seq cap (ten (wz 1 1 1) (wz 0 0 2) half (W 1 1)) cup) (seq cap cup))',
         [('fusion', (0, 1)), ('fusion', (1, 4))],
         (
-            'e24534ecbd688068901ec7f833f476cf07b99312e0f85f2d64049602f1591aff',
+            'adf0c966eb62814324ad0726341dd47d8e6f40146c937329c5fe25bce2fd78d8',
             None,
             None,
         ),

@@ -59,6 +59,11 @@ def test_had_fragment_is_unnormalised_hadamard():
     assert interp(tr._had_zw(), EXACT) == Matrix.from_rows([[1, 1], [1, -1]])
 
 
+def test_zero_costate_is_one_white_node():
+    assert interp(tr._zero_costate_zw(), EXACT) == Matrix.from_rows([[1, 0]])
+    assert len(tr._zero_costate_zw().nodes) == 1
+
+
 def test_hadamard_translation_preserves_semantics():
     assert eq_semantic(dg.h(), tr.zx_to_zw(dg.h()))
 
@@ -211,16 +216,33 @@ def test_large_integer_white_node_translates_compactly():
 def test_translations_carry_one_compact_scalar_per_fragment():
     # node counts before the cached fragments' scalar parts were merged
     # and the (1, 2) state was built from cos plugs: 173, 520, 1,039, 149
-    # and 37,593
+    # and 37,593; before the w nodes were built on the K chain and <0| was
+    # one white node: 120, 359, 719, 86 and 16,569
     h, x = dg.h(), dg.x(1, 2, 0)
-    assert len(tr.round_trip(h).nodes) <= 120
-    assert len(tr.round_trip(x).nodes) <= 359
-    assert len(tr.round_trip(dg.seq(h, x, dg.ten(h, h))).nodes) <= 719
+    assert len(tr.round_trip(h).nodes) <= 63
+    assert len(tr.round_trip(x).nodes) <= 188
+    assert len(tr.round_trip(dg.seq(h, x, dg.ten(h, h))).nodes) <= 377
     white = dg.white(1, 1, 14)
     out = tr.zw_to_zx(white)
-    assert len(out.nodes) <= 86
+    assert len(out.nodes) <= 57
     assert interp(out, EXACT) == interp(white, EXACT)
-    assert len(tr.zw_to_zx(dg.white(1, 1, 10**300)).nodes) <= 16569
+    assert len(tr.zw_to_zx(dg.white(1, 1, 10**300)).nodes) <= 14139
+    assert len(tr.zw_to_zx(dg.half()).nodes) == 2
+
+
+def test_criterion_3_round_trips_average_at_most_200_nodes():
+    # the diagrams of `test_acceptance.test_criterion_3_round_trip`; the
+    # average was 356 (max 1,677) before the w nodes were built on the K
+    # chain, against a target of 250
+    rng = random.Random(17)
+    sizes = []
+    for _ in range(200):
+        n_in = rng.randrange(4)
+        n_out = rng.randrange(4 - n_in)
+        d = random_diagram(rng, n_in=n_in, n_out=n_out, tag="zx", max_nodes=7)
+        sizes.append(len(tr.round_trip(d).nodes))
+    assert sum(sizes) / len(sizes) <= 200
+    assert max(sizes) <= 879
 
 
 def test_hadamard_fragment_is_built_once():
