@@ -157,11 +157,15 @@ def _cmd_eq(args) -> int:
         print(f"not equal; witness valuation: {json.dumps(witness)}")
         return 1
     mode = _pick_mode(args, d1, d2, tol=args.tol)
-    if eq_semantic(d1, d2, mode):
+    m1, m2 = interp(d1, mode), interp(d2, mode)
+    if m1 == m2 if isinstance(mode, Exact) else m1.close(m2, mode.tol):
         print("equal")
         return 0
-    diff = interp(d1, mode).max_abs_diff(interp(d2, mode))
-    print(f"not equal (max entry difference {diff:.3g})")
+    try:  # an exact entry can outgrow a float
+        diff = f"{m1.max_abs_diff(m2):.3g}"
+    except OverflowError:
+        diff = "too large for a float"
+    print(f"not equal (max entry difference {diff})")
     return 1
 
 

@@ -15,8 +15,9 @@ kernel contains two.  So it copies both inputs, joins the spare copies
 through K, and merges the others.
 
 Parameter-free fragments are built once and shared (`Diagram` and `Gen` are
-immutable), each compound one with at most one scalar part (`unit_scalar`).
-Each state gadget is one `seq` of 1->1 stages, linear in the digits.
+immutable).  Each compound one is built in its final form, with at most one
+scalar part, the exact `unit_scalar` its builder adds.  Each state gadget is
+one `seq` of 1->1 stages, linear in the digits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import diagrams as dg
 from .diagrams import Diagram
 from .phases import Phase, PhaseLike
 from .rings import Cyclo
-from .semantics import EXACT, interp
 
 
 def wire() -> Diagram:
@@ -102,38 +102,7 @@ def half_scalar() -> Diagram:
     return unit_scalar(0, -2)
 
 
-def _gadget(build):
-    """Cache a parameter-free gadget, its scalar part compacted once.
-
-    The nodes no boundary wire reaches (union-find over the wires) give way
-    to `unit_scalar` of their exact value omega^j sqrt(2)^k if that is smaller.
-    """
-
-    @functools.cache
-    @functools.wraps(build)
-    def cached() -> Diagram:
-        d = build()
-        n = len(d.nodes)  # index n stands for the boundary
-        root = list(range(n + 1))
-
-        def find(i):
-            return i if root[i] == i else find(root[i])
-
-        for a, b in d.edges:
-            root[find(a[1] if a[0] == "n" else n)] = find(b[1] if b[0] == "n" else n)
-        rest = [i for i in range(n) if find(i) != find(n)]
-        index = {i: m for m, i in enumerate(rest)}
-        cut = [(a, b) for a, b in d.edges if a[0] == "n" and a[1] in index]
-        wires = [(("n", index[a[1]], a[2]), ("n", index[b[1]], b[2])) for a, b in cut]
-        value = interp(Diagram(d.tag, [d.nodes[i] for i in rest], wires, 0, 0), EXACT)[0, 0]
-        cls = value.sqrt2_power_class() if rest else None
-        small = dg.replace_nodes(d, [(rest, unit_scalar(*cls), [])], cut) if cls else d
-        return small if len(small.nodes) < n else d
-
-    return cached
-
-
-@_gadget
+@functools.cache
 def cnot() -> Diagram:
     """Controlled not, control on wire 0: copy the control, merge the target."""
     body = dg.seq(
@@ -143,26 +112,30 @@ def cnot() -> Diagram:
     return body.tensor(sqrt2())
 
 
-@_gadget
+@functools.cache
 def cnot_down() -> Diagram:
     """Controlled not, control on wire 1."""
     return dg.seq(Diagram.swap(), cnot(), Diagram.swap())
 
 
-@_gadget
+@functools.cache
 def cz() -> Diagram:
     return dg.seq(dg.ten(wire(), dg.h()), cnot(), dg.ten(wire(), dg.h()))
 
 
-@_gadget
+@functools.cache
 def crossing() -> Diagram:
     """The braiding of the w calculus, built as cz followed by a swap."""
     return dg.seq(cz(), Diagram.swap())
 
 
-def _fed(spider: Diagram, state: Diagram) -> Diagram:
-    """A two-input spider with its second input plugged by a one-legged state."""
-    return dg.seq(dg.ten(wire(), state), spider)
+def _fed(join: Diagram, state: Diagram) -> Diagram:
+    """A two-input map with its second input plugged by a one-legged state.
+
+    With a spider of the other colour this is a factor of a chain; with
+    `w_add` or a z merge it is the stage (1, x) -> (1, x + s) or (1, x * s).
+    """
+    return dg.seq(dg.ten(wire(), state), join)
 
 
 def _chain(plug: PhaseLike) -> Diagram:
@@ -182,7 +155,7 @@ def _chain(plug: PhaseLike) -> Diagram:
     )
 
 
-@_gadget
+@functools.cache
 def triangle() -> Diagram:
     """The 1->1 map [[1,1],[0,1]] from plain pi/4 spiders.
 
@@ -214,7 +187,7 @@ def _w_node(merge: PhaseLike) -> Diagram:
     return body.tensor(unit_scalar(1, 3))
 
 
-@_gadget
+@functools.cache
 def w_add() -> Diagram:
     """The 2->1 addition node [[1,0,0,0],[0,1,1,0]].
 
@@ -223,19 +196,13 @@ def w_add() -> Diagram:
     return _w_node(0)
 
 
-@_gadget
-def w_split() -> Diagram:
-    """The 1->2 node sending |0> to |00> and |1> to |01> + |10>."""
-    return dg.flip(w_add())
-
-
-@_gadget
+@functools.cache
 def w21_zx() -> Diagram:
     """The 2->1 w node [[0,1,1,0],[1,0,0,0]] in pi/4 spiders: not . w_add."""
     return _w_node(1)
 
 
-@_gadget
+@functools.cache
 def w12_zx() -> Diagram:
     """The 1->2 w node [[0,1],[1,0],[1,0],[0,0]] in pi/4 spiders."""
     return dg.flip(w21_zx())
@@ -263,27 +230,22 @@ def tan_state(a: PhaseLike) -> Diagram:
     )
 
 
-@_gadget
+@functools.cache
 def zero_state() -> Diagram:
-    """State (1, 0)."""
-    return dg.ten(dg.x(0, 1, 0), half_scalar(), sqrt2())
+    """State (1, 0): the x state sqrt(2) (1, 0) and a 1/sqrt(2)."""
+    return dg.ten(dg.x(0, 1, 0), unit_scalar(0, -1))
 
 
-@_gadget
+@functools.cache
 def half_state() -> Diagram:
     """State (1, 1/2): two plugs sqrt(2) (1, cos pi/4) z-merged to (2, 1), halved."""
     return dg.seq(dg.ten(*[cos_plug(Fraction(1, 4))] * 2), dg.z(2, 1, 0)).tensor(half_scalar())
 
 
-@_gadget
+@functools.cache
 def _two_state() -> Diagram:
     """State (1, 2): the same z merge (2, 1) with its components swapped."""
     return dg.seq(dg.ten(*[cos_plug(Fraction(1, 4))] * 2), dg.z(2, 1, 0), dg.x(1, 1, 1))
-
-
-def _stage(state: Diagram, join: Diagram) -> Diagram:
-    """The 1->1 map (1, x) -> (1, x + s) by `w_add`, or (1, x * s) by a z merge."""
-    return dg.seq(dg.ten(wire(), state), join)
 
 
 def int_state(n: int) -> Diagram:
@@ -298,8 +260,8 @@ def int_state(n: int) -> Diagram:
     if n == 0:
         return zero_state()
     unit = dg.z(0, 1, 0) if n > 0 else dg.z(0, 1, 1)
-    add = _stage(unit, w_add()) if abs(n) > 2 else None  # built only when used
-    double = _stage(_two_state(), dg.z(2, 1, 0)) if abs(n) > 3 else None
+    add = _fed(w_add(), unit) if abs(n) > 2 else None  # built only when used
+    double = _fed(dg.z(2, 1, 0), _two_state()) if abs(n) > 3 else None
     digits = bin(abs(n))[2:]
     lead = int(digits[:2], 2)
     head = unit if lead == 1 else _two_state() if n > 0 else dg.seq(_two_state(), dg.z(1, 1, 1))
@@ -328,9 +290,9 @@ def ring_state(r) -> Diagram:
         parts.append(s)
     if not parts:
         return zero_state()
-    stages = [_stage(s, w_add()) for s in parts[1:]]
+    stages = [_fed(w_add(), s) for s in parts[1:]]
     if r.e:
-        stages += [_stage(half_state(), dg.z(2, 1, 0))] * r.e
+        stages += [_fed(dg.z(2, 1, 0), half_state())] * r.e
     return dg.seq(parts[0], *stages)
 
 

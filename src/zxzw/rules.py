@@ -29,7 +29,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import diagrams as dg
@@ -60,7 +60,6 @@ class Rule:
     """
 
     name: str
-    calculus: str
     build: object  # binding dict -> (Diagram, Diagram)
     grid: tuple = ()
     sample: object = None
@@ -121,7 +120,6 @@ def _s_build(b):
 
 RULE_S = Rule(
     "S",
-    "zx",
     _s_build,
     grid=(
         ("alpha", GRID8),
@@ -138,7 +136,6 @@ RULE_S = Rule(
 
 RULE_I = Rule(
     "I",
-    "zx",
     lambda b: (dg.z(1, 1, 0), _id(1)),
     domain="a phaseless 1->1 spider is a plain wire",
     variants=("flip", "color"),
@@ -146,7 +143,6 @@ RULE_I = Rule(
 
 RULE_IV = Rule(
     "IV",
-    "zx",
     lambda b: (dg.ten(gad.dot(F(1, 2)), gad.dot(F(-1, 2))), gad.dot(0)),
     domain="opposite quarter-turn dots cancel to the dot scalar 2",
     variants=("flip", "color"),
@@ -161,7 +157,6 @@ def _cp_build(b):
 
 RULE_CP = Rule(
     "CP",
-    "zx",
     _cp_build,
     grid=(("a", (F(0), F(1))),),
     domain="the opposite colour copies a k*pi state",
@@ -179,7 +174,6 @@ def _b_build(b):
 
 RULE_B = Rule(
     "B",
-    "zx",
     _b_build,
     domain="bialgebra between the two colours, sqrt(2) on the distributed side",
     variants=("flip", "color"),
@@ -195,7 +189,6 @@ def _k_build(b):
 
 RULE_K = Rule(
     "K",
-    "zx",
     _k_build,
     grid=(("a", GRID8),),
     domain="a pi flip commutes through a phase, negating it",
@@ -214,7 +207,6 @@ def _eu_build(b):
 
 RULE_EU = Rule(
     "EU",
-    "zx",
     _eu_build,
     domain="Euler decomposition of the Hadamard node",
     variants=("flip", "color"),
@@ -228,7 +220,6 @@ def _h_build(b):
 
 RULE_H = Rule(
     "H",
-    "zx",
     _h_build,
     grid=(("a", GRID8), ("n", (0, 1, 2)), ("m", (0, 1, 2))),
     domain="Hadamards on every leg change a spider's colour",
@@ -237,7 +228,6 @@ RULE_H = Rule(
 
 RULE_ZO = Rule(
     "ZO",
-    "zx",
     lambda b: (
         dg.ten(gad.dot(1), gad.dot(b["a"])),
         dg.ten(gad.dot(1), gad.dot(0)),
@@ -249,7 +239,6 @@ RULE_ZO = Rule(
 
 RULE_E = Rule(
     "E",
-    "zx",
     lambda b: (
         dg.seq(dg.z(0, 1, F(1, 4)), dg.x(1, 0, F(-1, 4))),
         Diagram.empty(),
@@ -271,7 +260,6 @@ def _sup_build(b):
 
 RULE_SUP = Rule(
     "SUP",
-    "zx",
     _sup_build,
     grid=(("a", GRID8),),
     domain="merging antipodal states collapses to an unbiased state",
@@ -286,7 +274,6 @@ def _c_build(b):
 
 RULE_C = Rule(
     "C",
-    "zx",
     _c_build,
     domain="a pi spider passes through a triangle sandwich",
     variants=("flip", "color"),
@@ -303,7 +290,6 @@ def _bw_build(b):
 
 RULE_BW = Rule(
     "BW",
-    "zx",
     _bw_build,
     domain="a triangle slides through the w-style merge",
     variants=("flip", "color"),
@@ -338,7 +324,6 @@ def _a_build(b):
 
 RULE_A = Rule(
     "A",
-    "zx",
     _a_build,
     sample=_a_sample,
     domain="2 cos(gamma) e^{i delta} = e^{i alpha} + e^{i beta}",
@@ -365,7 +350,6 @@ def _ta_sample(rng):
 
 RULE_TA = Rule(
     "TA",
-    "zxt",
     lambda b: (dg.seq(dg.tri(b["r"]), dg.tri(b["s"])), dg.tri(b["r"] + b["s"])),
     sample=_ta_sample,
     domain="triangle parameters add under composition",
@@ -398,7 +382,6 @@ def _td_build(b):
 
 RULE_TD = Rule(
     "TD",
-    "zxt",
     _td_build,
     sample=_td_sample,
     domain="r = e^{i gamma} tan(alpha), alpha != pi/2 mod pi",
@@ -407,10 +390,6 @@ RULE_TD = Rule(
 
 
 # -- the zw family ----------------------------------------------------------------
-
-
-def _rzw(name, build, grid=(), sample=None, domain=""):
-    return Rule(name, "zw", build, grid=grid, sample=sample, domain=domain)
 
 
 def _r_complex(rng):
@@ -452,12 +431,12 @@ def _u_zero() -> Diagram:
 
 
 ZW_RULES = (
-    _rzw(
+    Rule(
         "0a",
         lambda b: (dg.seq(dg.zw_cross(), dg.zw_cross()), _id(2)),
         domain="the signed crossing is an involution",
     ),
-    _rzw(
+    Rule(
         "0b",
         lambda b: (
             dg.seq(dg.zw_cross(), Diagram.cup()),
@@ -465,7 +444,7 @@ ZW_RULES = (
         ),
         domain="bending the signed crossing leaves a -1 node",
     ),
-    _rzw(
+    Rule(
         "0c",
         lambda b: (
             dg.seq(dg.ten(dg.white(1, 1, b["r"]), gad.wire()), dg.zw_cross()),
@@ -474,12 +453,12 @@ ZW_RULES = (
         sample=lambda rng: {"r": _r_complex(rng)},
         domain="white nodes slide through the signed crossing",
     ),
-    _rzw(
+    Rule(
         "1a",
         lambda b: (dg.seq(dg.white(1, 1, -1), dg.white(1, 1, -1)), _id(1)),
         domain="the -1 node is an involution",
     ),
-    _rzw(
+    Rule(
         "1b",
         lambda b: (
             dg.seq(dg.white(1, 1, b["s"]), dg.white(1, 2, b["r"])),
@@ -488,28 +467,28 @@ ZW_RULES = (
         sample=lambda rng: {"r": _r_complex(rng), "s": _r_complex(rng)},
         domain="a 1->1 white node fuses into a split, multiplying parameters",
     ),
-    _rzw(
+    Rule(
         "1c",
         _w1c_build,
         sample=_w1c_sample,
         domain="white nodes fuse over any shared wires, multiplying parameters",
     ),
-    _rzw(
+    Rule(
         "2a",
         lambda b: (dg.seq(dg.w11(), dg.w11()), _id(1)),
         domain="the 1->1 w node is an involution",
     ),
-    _rzw(
+    Rule(
         "2b",
         lambda b: (dg.seq(dg.ten(_u_zero(), gad.wire()), dg.w21()), dg.w11()),
         domain="the w unit turns the merge into the 1->1 node",
     ),
-    _rzw(
+    Rule(
         "2c",
         lambda b: (dg.seq(Diagram.swap(), dg.w21()), dg.w21()),
         domain="the w merge is commutative",
     ),
-    _rzw(
+    Rule(
         "2d",
         lambda b: (
             dg.seq(dg.ten(_v_node(), gad.wire()), dg.w21()),
@@ -517,7 +496,7 @@ ZW_RULES = (
         ),
         domain="the w merge is associative",
     ),
-    _rzw(
+    Rule(
         "3a",
         lambda b: (
             dg.seq(dg.ten(dg.w21(), gad.wire()), dg.zw_cross()),
@@ -530,7 +509,7 @@ ZW_RULES = (
         ),
         domain="the merge braids through the signed crossing",
     ),
-    _rzw(
+    Rule(
         "3b",
         lambda b: (
             dg.seq(dg.ten(dg.w11(), gad.wire()), dg.zw_cross()),
@@ -542,7 +521,7 @@ ZW_RULES = (
         ),
         domain="the 1->1 w node braids through the signed crossing",
     ),
-    _rzw(
+    Rule(
         "4a",
         lambda b: (
             dg.seq(
@@ -555,7 +534,7 @@ ZW_RULES = (
         sample=lambda rng: {"r": _r_complex(rng), "s": _r_complex(rng)},
         domain="white states add under the w-style sum",
     ),
-    _rzw(
+    Rule(
         "4b",
         lambda b: (
             dg.seq(
@@ -568,7 +547,7 @@ ZW_RULES = (
         sample=lambda rng: {"r": _r_complex(rng)},
         domain="opposite white states cancel to the unit",
     ),
-    _rzw(
+    Rule(
         "5",
         lambda b: (
             dg.seq(dg.w21(), dg.w11(), dg.white(1, 2, b["r"])),
@@ -581,12 +560,12 @@ ZW_RULES = (
         sample=lambda rng: {"r": _r_complex(rng)},
         domain="the white split distributes over the w sum",
     ),
-    _rzw(
+    Rule(
         "6a",
         lambda b: (gad.circles(1), dg.white(0, 0, 1)),
         domain="a closed loop is the scalar-2 white node",
     ),
-    _rzw(
+    Rule(
         "6b",
         lambda b: (
             dg.seq(Diagram.cap(), dg.zw_cross(), Diagram.cup()),
@@ -594,7 +573,7 @@ ZW_RULES = (
         ),
         domain="tracing the signed crossing on a bent wire gives zero",
     ),
-    _rzw(
+    Rule(
         "6c",
         lambda b: (
             dg.seq(
@@ -608,7 +587,7 @@ ZW_RULES = (
         sample=lambda rng: {"r": _r_complex(rng)},
         domain="the signed trace negates a white parameter",
     ),
-    _rzw(
+    Rule(
         "7",
         lambda b: (
             dg.seq(
@@ -620,7 +599,7 @@ ZW_RULES = (
         ),
         domain="the partial trace of the signed crossing is the -1 node",
     ),
-    _rzw(
+    Rule(
         "X",
         lambda b: (
             dg.seq(Diagram.swap(), dg.zw_cross(), Diagram.swap()),
@@ -628,7 +607,7 @@ ZW_RULES = (
         ),
         domain="the signed crossing is symmetric under wire exchange",
     ),
-    _rzw(
+    Rule(
         "R3",
         lambda b: (
             dg.seq(
@@ -646,7 +625,7 @@ ZW_RULES = (
     ),
 )
 
-RULE_HALF = _rzw(
+RULE_HALF = Rule(
     "half",
     lambda b: (dg.ten(dg.half(), gad.circles(1)), Diagram.empty()),
     domain="the half scalar cancels a closed loop",
@@ -924,15 +903,7 @@ def corrupted_rules() -> tuple:
         return dg.seq(t, dg.z(1, 1, F(1, 2)), t), dg.z(1, 1, F(1, 2))
 
     def mut(rule, name, build):
-        return Rule(
-            name,
-            rule.calculus,
-            build,
-            grid=rule.grid,
-            sample=rule.sample,
-            domain=rule.domain + " (deliberately broken)",
-            variants=rule.variants,
-        )
+        return replace(rule, name=name, build=build, domain=rule.domain + " (deliberately broken)")
 
     return (
         mut(RULE_SUP, "SUP~bad", sup_bad),

@@ -126,6 +126,21 @@ def test_eq_wide_diagrams_reports_difference(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eq_of_a_difference_too_large_for_a_float_is_one_line(tmp_path, capsys, monkeypatch):
+    # the left side is a 4,400-digit exact entry: unequal to 2, and its
+    # difference from 2 is beyond a float; each side is interpreted once
+    big = "9" * 2200
+    a = write(tmp_path, "big.zw", f"(seq (wz 1 1 {big}) (wz 1 1 {big}))\n")
+    b = write(tmp_path, "two.zw", "(wz 1 1 2)\n")
+    interpreted = []
+    interp = cli.interp
+    monkeypatch.setattr(cli, "interp", lambda d, mode: interpreted.append(d) or interp(d, mode))
+    assert main(["eq", a, b]) == 1
+    out, err = capsys.readouterr()
+    assert out == "not equal (max entry difference too large for a float)\n" and err == ""
+    assert len(interpreted) == 2
+
+
 def test_eval_json_of_wide_zero_matrix_stays_exact(tmp_path, capsys):
     f = write(tmp_path, "zero.zx", "(ten (Z 0 0 pi) id id id id id id id)\n")
     assert main(["eval", f, "--json"]) == 0

@@ -2,6 +2,8 @@
 
 import cmath
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,12 +131,6 @@ def test_w_add_matrix():
     assert interp(gad.w_add(), EXACT) == Matrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0]])
 
 
-def test_w_split_matrix():
-    assert interp(gad.w_split(), EXACT) == Matrix.from_rows(
-        [[1, 0], [0, 1], [0, 1], [0, 0]]
-    )
-
-
 def test_w21_matches_generator():
     assert interp(gad.w21_zx(), EXACT) == interp(dg.w21(), EXACT)
 
@@ -185,15 +181,14 @@ def _scalar_parts(d):
     return {find(i) for i in range(len(d.nodes))} - {find(-1)}
 
 
-# the exact matrices of the compacted gadgets, as built before compaction
-COMPACTED = {
+# the exact matrix of each cached compound gadget
+COMPOUND = {
     "cnot": CNOT.to_rows(),
     "cnot_down": CNOT_DOWN.to_rows(),
     "cz": CZ.to_rows(),
     "crossing": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
     "triangle": [[1, 1], [0, 1]],
     "w_add": [[1, 0, 0, 0], [0, 1, 1, 0]],
-    "w_split": [[1, 0], [0, 1], [0, 1], [0, 0]],
     "w21_zx": [[0, 1, 1, 0], [1, 0, 0, 0]],
     "w12_zx": [[0, 1], [1, 0], [1, 0], [0, 0]],
     "zero_state": [[1], [0]],
@@ -202,28 +197,31 @@ COMPACTED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMPACTED))
+@pytest.mark.parametrize("name", sorted(COMPOUND))
 def test_compacted_gadgets_keep_their_matrix_and_one_scalar_part(name):
+    # each builder is compact by construction: its one scalar part, if
+    # any, is the `unit_scalar` it adds
     d = getattr(gad, name)()
-    assert interp(d, EXACT) == Matrix.from_rows(COMPACTED[name])
+    assert interp(d, EXACT) == Matrix.from_rows(COMPOUND[name])
     assert len(_scalar_parts(d)) <= 1
 
 
 def test_compacted_gadget_sizes():
-    # node counts before compaction: 25, 30, 30, 31, 31, 11, 41 and 26 (the
-    # last two were built on w_add and the triangle, not on two cos plugs);
-    # the triangle, w_add and the w nodes were 17, 21 and 22 when they were
-    # built on controlled nots
-    sizes = {"triangle": 13, "w_add": 14, "w_split": 14, "w21_zx": 14, "w12_zx": 14,
+    sizes = {"triangle": 13, "w_add": 14, "w21_zx": 14, "w12_zx": 14,
              "zero_state": 3, "half_state": 9, "_two_state": 8, "half_scalar": 2}
     for name, size in sizes.items():
         assert len(getattr(gad, name)().nodes) <= size, name
 
 
+def test_gadgets_load_without_the_evaluator():
+    code = "import sys, zxzw.gadgets; assert 'zxzw.semantics' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 @pytest.mark.parametrize(
     "name",
     ["sqrt2", "half_scalar", "cnot", "cnot_down", "cz", "crossing", "triangle",
-     "w_add", "w_split", "w21_zx", "w12_zx", "zero_state", "half_state", "_two_state"],
+     "w_add", "w21_zx", "w12_zx", "zero_state", "half_state", "_two_state"],
 )
 def test_parameter_free_fragments_are_built_once(name):
     build = getattr(gad, name)
