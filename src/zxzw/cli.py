@@ -70,14 +70,11 @@ def _dyadic(num: int, exp: int) -> list:
 
 
 def _entry_json(v, exact: bool):
-    if isinstance(v, Cyclo):
-        z = v.to_complex()
-        out = {"re": z.real, "im": z.imag}
-        if exact:
-            out["w"] = [_dyadic(c, v.e) for c in (v.a, v.b, v.c, v.d)]
-        return out
     z = complex(v)
-    return {"re": z.real, "im": z.imag}
+    out = {"re": z.real, "im": z.imag}
+    if exact:
+        out["w"] = [_dyadic(c, v.e) for c in (v.a, v.b, v.c, v.d)]
+    return out
 
 
 def matrix_json(d: Diagram, m: Matrix, exact: bool) -> dict:

@@ -143,15 +143,7 @@ class Gen:
         return self.n_in + self.n_out
 
     def signature(self):
-        return (self.kind, self.n_in, self.n_out, self.phase, _param_key(self.param))
-
-
-def _param_key(p):
-    if p is None:
-        return None
-    if isinstance(p, Cyclo):
-        return ("exact", p)
-    return ("float", p)
+        return (self.kind, self.n_in, self.n_out, self.phase, self.param)
 
 
 def _merge_tags(t1: Optional[str], t2: Optional[str]) -> Optional[str]:

@@ -10,10 +10,15 @@ starts a comment that runs to the end of the line.
 Phases are written without spaces as chains of terms joined by ``+``/``-``:
 ``pi``, ``pi/4``, ``3*pi/2``, a bare integer ``k`` (meaning k*pi), a float
 literal (radians), or a variable with an optional integer coefficient
-(``2a``, ``-b``).  Parameters are an integer, a float, ``a+bi``, a polar
-``rho@PHASE``, or the exact form ``cyclo:a,b,c,d,e`` standing for
-(a + b w + c w^2 + d w^3) / 2^e with w = e^{i pi/4}.
+(``2a``, ``-b``).  Parameters are an integer, a float, ``a+bi`` (Python's
+complex grammar with ``i`` for ``j``), a polar ``rho@PHASE``, or the exact
+form ``cyclo:a,b,c,d,e`` standing for (a + b w + c w^2 + d w^3) / 2^e with
+w = e^{i pi/4}.
 
+`print_diagram` routes every wire by one rule: each end sits in a column (0
+a boundary input or cap leg, 1 a node input, 2 a node output, 3 a boundary
+output or cup leg), and a wire runs from an even column to a later odd one,
+through a cap, a cup or a passthrough wire where it cannot go directly.
 `parse` and `print_diagram` are mutually inverse in the useful directions:
 parsing a printed diagram gives a graph isomorphic to the original, and
 printing is stable (printing a reparsed print is the identity on text).
@@ -30,6 +35,7 @@ from typing import Optional
 
 from .diagrams import (
     CROSS,
+    H,
     HALF,
     TRI,
     W11,
@@ -159,27 +165,6 @@ def parse_phase(text: str, line: int = 1, col: int = 1) -> Phase:
     return Phase(sum(consts, Fraction(0)), terms)
 
 
-def _parse_complex(text: str, line: int, col: int) -> complex:
-    body = text[:-1]  # trailing i
-    split = None
-    for idx in range(1, len(body)):
-        if body[idx] in "+-" and body[idx - 1] not in "eE":
-            split = idx
-            break
-    try:
-        if split is None:
-            if body in ("", "+"):
-                return 1j
-            if body == "-":
-                return -1j
-            return complex(0.0, float(body))
-        im_text = body[split:]
-        im = float(im_text) if im_text not in ("+", "-") else float(im_text + "1")
-        return complex(float(body[:split]), im)
-    except ValueError:
-        raise DslError(f"bad complex parameter {text!r}", line, col) from None
-
-
 def parse_param(text: str, line: int = 1, col: int = 1):
     """Parse a node parameter: int, float, a+bi, rho@PHASE, or cyclo:a,b,c,d,e."""
     if text.startswith("cyclo:"):
@@ -199,7 +184,10 @@ def parse_param(text: str, line: int = 1, col: int = 1):
         theta = arg.to_float()
         value = complex(rho * math.cos(theta), rho * math.sin(theta))
     elif text[-1] in "iI":
-        value = _parse_complex(text, line, col)
+        try:
+            value = complex(text[:-1] + "j")
+        except ValueError:
+            raise DslError(f"bad complex parameter {text!r}", line, col) from None
     else:
         try:
             return _int(text, line, col)
@@ -271,6 +259,15 @@ class _Parser:
             raise self.error(f"expected {what}, got {self.toks[k]!r}", k)
         return self.value(_int, k)
 
+    def optional(self, opener: int, read, default):
+        """The last argument of the form opened at token `opener`, by `read`,
+        or `default` if the form closes at once; then its closing ')'."""
+        if self.peek() is None:
+            raise self.error("unclosed '('", opener)
+        value = default if self.peek() == ")" else self.value(read, self.take())
+        self.expect_close(opener)
+        return value
+
     def value(self, read, k: int):
         """`read` (`parse_phase`, `parse_param` or `_int`) of token k; an error points at it."""
         try:
@@ -335,14 +332,7 @@ class _Parser:
         if name in ("Z", "X"):
             n = self.int_arg("an input count")
             m = self.int_arg("an output count")
-            nxt = self.peek()
-            if nxt is None:
-                raise self.error("unclosed '('", opener)
-            if nxt == ")":
-                phase = Phase.ZERO
-            else:
-                phase = self.value(parse_phase, self.take())
-            self.expect_close(opener)
+            phase = self.optional(opener, parse_phase, Phase.ZERO)
             return z(n, m, phase) if name == "Z" else x(n, m, phase)
         if name == "W":
             a = self.int_arg("an input count")
@@ -362,18 +352,9 @@ class _Parser:
             self.expect_close(opener)
             return white(n, m, param)
         if name == "tri":
-            nxt = self.peek()
-            if nxt is None:
-                raise self.error("unclosed '('", opener)
-            if nxt == ")":
-                param = 1
-            else:
-                k = self.take()
-                if nxt == "(":
-                    raise self.error("tri takes a parameter", k)
-                param = self.value(parse_param, k)
-            self.expect_close(opener)
-            return tri(param)
+            if self.peek() == "(":
+                raise self.error("tri takes a parameter", self.pos)
+            return tri(self.optional(opener, parse_param, 1))
         if name == "zw-cross":
             self.expect_close(opener)
             return zw_cross()
@@ -417,12 +398,18 @@ def parse(src: str) -> Diagram:
 #
 #     (seq  [id x n_in | caps]  [perm]  [nodes | id x t]  [perm]  [id x n_out | cups])
 #
-# built in one pass over the (canonically sorted) edge list: every edge is
-# routed with caps, cups and passthrough wires so that each generator is used
-# in its forward orientation, and each of the two permutations is one
-# `(perm ...)` word, so the text is linear in the size of the diagram.
-# Stages that come out as identities are dropped, and closed loops append
-# `(seq cap cup)` tensor factors.
+# built in one pass over the (canonically sorted) edge list, with each
+# generator in its forward orientation and each permutation one `(perm ...)`
+# word, so the text is linear in the size of the diagram.  Each wire end sits
+# in a column: 0 a boundary input or cap leg, 1 a node input, 2 a node
+# output, 3 a boundary output or cup leg.  A wire runs from an even column to
+# a later odd one: 0 -> 1 in the first permutation, 2 -> 3 in the second,
+# 0 -> 3 through a new passthrough slot (one of the t ids).  Two ends that
+# both leave get a cup, two that both arrive a cap, and a node output feeding
+# a node input a cap whose second leg joins the output in a cup.  A cap or
+# cup takes the end nearer the middle first, and of two ends in one column,
+# the first in edge order.  Stages that come out as identities are dropped,
+# and closed loops append `(seq cap cup)` tensor factors.
 
 
 def _form_text(name: str, items: list[str]) -> str:
@@ -443,19 +430,14 @@ def _param_text(p) -> str:
     return f"{c.real!r}{sign}{abs(c.imag)!r}i"
 
 
+_FIXED_TEXT = {H: "H", W11: "(W 1 1)", W12: "(W 1 2)", CROSS: "(zw-cross)", HALF: "half"}
+
+
 def _atom_text(g: Gen) -> str:
+    if g.kind in _FIXED_TEXT:
+        return _FIXED_TEXT[g.kind]
     if g.kind in ("Z", "X"):
         return f"({g.kind} {g.n_in} {g.n_out} {g.phase.format_dsl()})"
-    if g.kind == "H":
-        return "H"
-    if g.kind == W11:
-        return "(W 1 1)"
-    if g.kind == W12:
-        return "(W 1 2)"
-    if g.kind == CROSS:
-        return "(zw-cross)"
-    if g.kind == HALF:
-        return "half"
     if g.kind == WZ:
         return f"(wz {g.n_in} {g.n_out} {_param_text(g.param)})"
     if g.kind == TRI:
@@ -470,89 +452,57 @@ def _perm_stage(perm: list[int]) -> list[str]:
     return ["(perm " + " ".join(map(str, perm)) + ")"]
 
 
+_ORDER = (2, 0, 1, 3)  # by column: a cap or cup takes the end nearer the middle first
+
+
 def _print_body(d: Diagram) -> str:
     nodes = d.nodes
     off_in = list(accumulate((g.n_in for g in nodes), initial=0))
     off_out = list(accumulate((g.n_out for g in nodes), initial=0))
     base_pt, out_base_pt = off_in[-1], off_out[-1]
-
-    def classify(end):
-        if end[0] == "i":
-            return ("DI", end[1])
-        if end[0] == "o":
-            return ("DO", end[1])
-        _, i, p = end
-        if p < nodes[i].n_in:
-            return ("NI", off_in[i] + p)
-        return ("NO", off_out[i] + p - nodes[i].n_in)
-
     p1 = {}  # left wire position -> middle input slot
     p2 = {}  # middle output slot -> right wire position
     caps = cups = pt = 0
 
-    def new_pt():
-        nonlocal pt
-        pt += 1
-        return pt - 1
+    def column(end):  # an edge end as (column, position in the column)
+        if end[0] == "i":
+            return 0, end[1]
+        if end[0] == "o":
+            return 3, end[1]
+        _, i, p = end
+        if p < nodes[i].n_in:
+            return 1, off_in[i] + p
+        return 2, off_out[i] + p - nodes[i].n_in
 
-    def new_cap(feed_a, feed_b):
-        nonlocal caps
-        p1[d.n_in + 2 * caps] = feed_a
-        p1[d.n_in + 2 * caps + 1] = feed_b
-        caps += 1
+    def join(a, b):
+        nonlocal caps, cups, pt
+        if _ORDER[b[0]] < _ORDER[a[0]]:
+            a, b = b, a
+        ca, cb = a[0], b[0]
+        if ca % 2 == cb % 2 == 0:  # both leave: a cup
+            leg = d.n_out + 2 * cups
+            cups += 1
+            join(a, (3, leg))
+            join(b, (3, leg + 1))
+        elif ca % 2 == cb % 2 or ca == 1 and cb == 2:  # both arrive, or an output feeds an input
+            leg = d.n_in + 2 * caps
+            caps += 1
+            join((0, leg), a)
+            join((0, leg + 1), b)
+        else:  # an even column to a later odd one
+            (c, k), (c2, k2) = (a, b) if ca < cb else (b, a)
+            if c2 - c == 3:  # through a new passthrough slot
+                p1[k] = base_pt + pt
+                p2[out_base_pt + pt] = k2
+                pt += 1
+            else:
+                (p1 if c == 0 else p2)[k] = k2
 
-    def new_cup(slot_a, slot_b):
-        nonlocal cups
-        p2[slot_a] = d.n_out + 2 * cups
-        p2[slot_b] = d.n_out + 2 * cups + 1
-        cups += 1
+    for a, b in d.edges:
+        join(column(a), column(b))
 
-    for edge in d.edges:
-        (ca, va), (cb, vb) = classify(edge[0]), classify(edge[1])
-        pair = {ca, cb}
-        if pair == {"DI"}:
-            s1, s2 = new_pt(), new_pt()
-            p1[va], p1[vb] = base_pt + s1, base_pt + s2
-            new_cup(out_base_pt + s1, out_base_pt + s2)
-        elif pair == {"DI", "NI"}:
-            k, slot = (va, vb) if ca == "DI" else (vb, va)
-            p1[k] = slot
-        elif pair == {"DI", "NO"}:
-            k, slot_out = (va, vb) if ca == "DI" else (vb, va)
-            s = new_pt()
-            p1[k] = base_pt + s
-            new_cup(slot_out, out_base_pt + s)
-        elif pair == {"DI", "DO"}:
-            k, kout = (va, vb) if ca == "DI" else (vb, va)
-            s = new_pt()
-            p1[k] = base_pt + s
-            p2[out_base_pt + s] = kout
-        elif pair == {"NI"}:
-            new_cap(va, vb)
-        elif pair == {"NI", "NO"}:
-            slot_in, slot_out = (va, vb) if ca == "NI" else (vb, va)
-            s = new_pt()
-            new_cap(slot_in, base_pt + s)
-            new_cup(slot_out, out_base_pt + s)
-        elif pair == {"NI", "DO"}:
-            slot_in, kout = (va, vb) if ca == "NI" else (vb, va)
-            s = new_pt()
-            new_cap(slot_in, base_pt + s)
-            p2[out_base_pt + s] = kout
-        elif pair == {"NO"}:
-            new_cup(va, vb)
-        elif pair == {"NO", "DO"}:
-            slot_out, kout = (va, vb) if ca == "NO" else (vb, va)
-            p2[slot_out] = kout
-        else:  # {"DO"}
-            s1, s2 = new_pt(), new_pt()
-            new_cap(base_pt + s1, base_pt + s2)
-            p2[out_base_pt + s1], p2[out_base_pt + s2] = va, vb
-
-    w_in = d.n_in + 2 * caps
-    w_out = out_base_pt + pt
-    perm1 = [p1[i] for i in range(w_in)]
-    perm2 = [p2[s] for s in range(w_out)]
+    perm1 = [p1[i] for i in range(d.n_in + 2 * caps)]
+    perm2 = [p2[s] for s in range(out_base_pt + pt)]
 
     stages = []
     if caps:

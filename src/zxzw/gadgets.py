@@ -52,11 +52,6 @@ def phase_gadget(phase: PhaseLike) -> Diagram:
     return dg.seq(dg.z(0, 1, phase), dg.x(1, 0, 1))
 
 
-def circles(k: int) -> Diagram:
-    """Scalar 2^k as k closed loops."""
-    return Diagram(None, (), (), 0, 0, loops=k)
-
-
 def trace1(d: Diagram) -> Diagram:
     """Close a 1->1 diagram into a scalar with a bent wire."""
     return dg.seq(Diagram.cap(), wire().tensor(d), Diagram.cup())
@@ -93,7 +88,7 @@ def unit_scalar(j: int, k: int) -> Diagram:
     k -= sum(2 - n for n in legs)
     star = [_star(Fraction(j % 8, 4), legs)] if legs else []
     half = dg.seq(dg.z(0, 3, Fraction(1, 4)), dg.x(3, 0, Fraction(-1, 4)))
-    return dg.ten(*star, circles(max(k, 0) // 2), *[half] * (max(-k, 0) // 2))
+    return dg.ten(*star, Diagram.circle(max(k, 0) // 2), *[half] * (max(-k, 0) // 2))
 
 
 @functools.cache
@@ -308,4 +303,4 @@ def complex_scalar(value: complex) -> Diagram:
     mag = abs(value)
     k = max(0, math.ceil(math.log2(mag)) - 1)
     b = 2.0 * math.acos(min(1.0, mag / 2 ** (k + 1)))
-    return dg.ten(dot(b), circles(k), unit_phase(math.atan2(value.imag, value.real) - b / 2.0))
+    return dg.ten(dot(b), Diagram.circle(k), unit_phase(math.atan2(value.imag, value.real) - b / 2.0))

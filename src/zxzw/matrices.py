@@ -17,12 +17,6 @@ from typing import Iterable, Sequence
 from .rings import Cyclo, is_zero
 
 
-def _to_complex(x) -> complex:
-    if isinstance(x, Cyclo):
-        return x.to_complex()
-    return complex(x)
-
-
 def _abs(z: complex) -> float:
     """|z| by the C hypot, as numpy takes it.  `abs` raises OverflowError
     where that is inf (and, with errno left over, on NaN), where
@@ -105,7 +99,7 @@ class Matrix:
         if self.shape != other.shape:
             return False
         for k in self._nonzero_keys(other):
-            a, b = _to_complex(self[k]), _to_complex(other[k])
+            a, b = complex(self[k]), complex(other[k])
             if not (a == b or (_abs(a - b) <= tol and _abs(b) < math.inf)):
                 return False
         return True
@@ -114,7 +108,7 @@ class Matrix:
         """The largest |a - b| over all entries: 0.0 for equal matrices,
         NaN when some difference is NaN."""
         diffs = [
-            _abs(_to_complex(self[k]) - _to_complex(other[k]))
+            _abs(complex(self[k]) - complex(other[k]))
             for k in self._nonzero_keys(other)
         ]
         return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
@@ -138,7 +132,7 @@ def _entries_equal(a, b) -> bool:
         cb = b if isinstance(b, Cyclo) else _int_cyclo(b)
         if ca is not None and cb is not None:
             return ca == cb
-        return _to_complex(a) == _to_complex(b)
+        return complex(a) == complex(b)
     return a == b
 
 

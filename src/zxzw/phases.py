@@ -108,8 +108,7 @@ class Phase:
     __radd__ = __add__
 
     def __neg__(self):
-        c = -self.const if isinstance(self.const, Fraction) else -self.const
-        return Phase(c, tuple((v, -n) for v, n in self.terms))
+        return Phase(-self.const, tuple((v, -n) for v, n in self.terms))
 
     def __sub__(self, other):
         return self + (-Phase.coerce(other))

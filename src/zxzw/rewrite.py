@@ -138,9 +138,7 @@ def _kinds(nodes, a, b):
 def _param_mul(p, q):
     if isinstance(p, Cyclo) and isinstance(q, Cyclo):
         return p * q
-    a = p.to_complex() if isinstance(p, Cyclo) else complex(p)
-    b = q.to_complex() if isinstance(q, Cyclo) else complex(q)
-    return a * b
+    return complex(p) * complex(q)
 
 
 def _one_site(rewrite: Callable[[Diagram, Any], Diagram]):

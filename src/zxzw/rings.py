@@ -129,6 +129,8 @@ class Cyclo:
         im = (2 * self.c + s * (self.b + self.d)) * h
         return complex(re, im)
 
+    __complex__ = to_complex
+
     def half(self) -> "Cyclo":
         return Cyclo(self.a, self.b, self.c, self.d, self.e + 1)
 
@@ -266,8 +268,7 @@ class Laurent:
         """The complex value at z_v = e^{i theta_v}."""
         acc = 0j
         for n, c in self.terms.items():
-            c = c.to_complex() if isinstance(c, Cyclo) else c
-            acc += c * cmath.exp(1j * sum(a * t for a, t in zip(n, thetas)))
+            acc += complex(c) * cmath.exp(1j * sum(a * t for a, t in zip(n, thetas)))
         return acc
 
     def __repr__(self):

@@ -562,7 +562,7 @@ ZW_RULES = (
     ),
     Rule(
         "6a",
-        lambda b: (gad.circles(1), dg.white(0, 0, 1)),
+        lambda b: (Diagram.circle(1), dg.white(0, 0, 1)),
         domain="a closed loop is the scalar-2 white node",
     ),
     Rule(
@@ -627,7 +627,7 @@ ZW_RULES = (
 
 RULE_HALF = Rule(
     "half",
-    lambda b: (dg.ten(dg.half(), gad.circles(1)), Diagram.empty()),
+    lambda b: (dg.ten(dg.half(), Diagram.circle(1)), Diagram.empty()),
     domain="the half scalar cancels a closed loop",
 )
 

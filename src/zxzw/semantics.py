@@ -124,7 +124,7 @@ def _phase_factor(phase, exact: bool):
     v = phase_value(phase)  # free variables were refused before
     if exact and v.__class__ is not Cyclo:
         raise SemanticsError(f"phase {phase!r} is not an exact multiple of pi/4")
-    return v if exact or v.__class__ is complex else v.to_complex()
+    return v if exact else complex(v)
 
 
 def _param_value(param, exact: bool):
@@ -132,7 +132,7 @@ def _param_value(param, exact: bool):
         if not isinstance(param, Cyclo):
             raise SemanticsError(f"parameter {param!r} is outside Z[1/2][omega]")
         return param
-    return param.to_complex() if isinstance(param, Cyclo) else complex(param)
+    return complex(param)
 
 
 def _gen_entries(g: Gen, exact: bool) -> dict:
@@ -149,7 +149,7 @@ def _gen_entries(g: Gen, exact: bool) -> dict:
         _accum(ent, (1,) * k, top)
         return ent
     if g.kind == H:
-        r = INV_SQRT2 if exact else complex(INV_SQRT2.to_complex())
+        r = INV_SQRT2 if exact else complex(INV_SQRT2)
         return {(0, 0): r, (0, 1): r, (1, 0): r, (1, 1): -r}
     if g.kind == W11:
         return {(0, 1): one, (1, 0): one}

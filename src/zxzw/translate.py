@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,6 +174,8 @@ def _white_zx(g: Gen) -> Diagram:
             cls = value.sqrt2_power_class()
             if cls is not None:
                 return gad.unit_scalar(*cls)
+    elif abs(abs(r) - 1) <= sys.float_info.epsilon:  # e^{i theta}, as cmath.exp rounds it
+        return dg.z(g.n_in, g.n_out, math.atan2(r.imag, r.real))
     return dg.seq(
         dg.z(g.n_in, g.n_out + 1, 0),
         dg.ten(Diagram.identity(g.n_out), dg.flip(_plug_state(r))),
@@ -182,9 +185,10 @@ def _white_zx(g: Gen) -> Diagram:
 def zw_to_zx(d: Diagram) -> Diagram:
     """Translate a w-calculus diagram into zx spiders.
 
-    White nodes with a unit parameter omega^k are green spiders directly;
-    any other parameter becomes a phaseless green spider with one extra leg
-    capped by a (1, r) plug — exact for ring parameters, float otherwise.
+    White nodes with a unit parameter, omega^k or a float of modulus 1, are
+    green spiders directly; any other parameter becomes a phaseless green
+    spider with one extra leg capped by a (1, r) plug — exact for ring
+    parameters, float otherwise.
     The black nodes are `gadgets.w12_zx`, built on the K chain.
     """
     if d.tag not in (None, "zw"):
@@ -247,7 +251,8 @@ def gn_inverse(alpha: PhaseLike) -> Diagram:
         if k == 4:
             raise SingularPhase("1 + e^{i pi} = 0 has no inverse")
         return _GRID_INVERSE[k]()
-    a = ph.to_float()
+    # a float alpha as given: wrapped into [0, 2 pi), its rounding grows ~1/cos(a/2) near the pole
+    a = alpha if isinstance(alpha, float) else ph.to_float()
     c = math.cos(a / 2.0)
     if abs(c) < 1e-12:
         raise SingularPhase("alpha = pi (mod 2 pi) has no inverse")
@@ -257,7 +262,7 @@ def gn_inverse(alpha: PhaseLike) -> Diagram:
     x = 1.0 / (2**n * c)
     beta = 2.0 * math.acos(max(-1.0, min(1.0, x)))
     if n >= 2:
-        dress = gad.circles(n - 2)
+        dress = Diagram.circle(n - 2)
     else:
         dress = gad.half_scalar()
         if n == 0:

@@ -1,15 +1,18 @@
 """Shared test utilities: random diagram generation, matrices as numpy
 arrays for the oracles that compare against them, reference builders for
 the state gadgets, the one-site-per-step simplifier, the per-character
-tokenizer and the one-instance-at-a-time rule verifier."""
+tokenizer, the printer that routed each edge by its pair of end kinds and
+the one-instance-at-a-time rule verifier."""
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from zxzw import diagrams as dg
+from zxzw import dsl
 from zxzw import gadgets as gad
 from zxzw import rewrite as rw
 from zxzw import rules as ru
@@ -138,7 +141,7 @@ def rotate_cross_ports(d: Diagram, node: int, k: int = 1) -> Diagram:
 def as_array(m) -> np.ndarray:
     """A `Matrix` as a complex ndarray, every entry filled in."""
     return np.array(
-        [[x.to_complex() if isinstance(x, Cyclo) else complex(x) for x in row] for row in m.to_rows()],
+        [[complex(x) for x in row] for row in m.to_rows()],
         dtype=complex,
     )
 
@@ -242,6 +245,128 @@ def reference_tokens(src: str) -> list[tuple[str, int, int]]:
                 col += 1
             toks.append((src[start:i], line, start_col))
     return toks
+
+
+def reference_print_body(d: Diagram) -> str:
+    """The printer body that `dsl._print_body` replaced, which routed each
+    edge by the pair of its end kinds (boundary or node, input or output)
+    in ten cases, and named each generator in its own branch: the
+    reference for the printed text."""
+
+    def atom_text(g: Gen) -> str:
+        if g.kind in ("Z", "X"):
+            return f"({g.kind} {g.n_in} {g.n_out} {g.phase.format_dsl()})"
+        if g.kind == "H":
+            return "H"
+        if g.kind == dg.W11:
+            return "(W 1 1)"
+        if g.kind == dg.W12:
+            return "(W 1 2)"
+        if g.kind == dg.CROSS:
+            return "(zw-cross)"
+        if g.kind == dg.HALF:
+            return "half"
+        if g.kind == dg.WZ:
+            return f"(wz {g.n_in} {g.n_out} {dsl._param_text(g.param)})"
+        if g.kind == dg.TRI:
+            return f"(tri {dsl._param_text(g.param)})"
+        raise ValueError(f"cannot print generator kind {g.kind!r}")
+
+    nodes = d.nodes
+    off_in = list(accumulate((g.n_in for g in nodes), initial=0))
+    off_out = list(accumulate((g.n_out for g in nodes), initial=0))
+    base_pt, out_base_pt = off_in[-1], off_out[-1]
+
+    def classify(end):
+        if end[0] == "i":
+            return ("DI", end[1])
+        if end[0] == "o":
+            return ("DO", end[1])
+        _, i, p = end
+        if p < nodes[i].n_in:
+            return ("NI", off_in[i] + p)
+        return ("NO", off_out[i] + p - nodes[i].n_in)
+
+    p1 = {}  # left wire position -> middle input slot
+    p2 = {}  # middle output slot -> right wire position
+    caps = cups = pt = 0
+
+    def new_pt():
+        nonlocal pt
+        pt += 1
+        return pt - 1
+
+    def new_cap(feed_a, feed_b):
+        nonlocal caps
+        p1[d.n_in + 2 * caps] = feed_a
+        p1[d.n_in + 2 * caps + 1] = feed_b
+        caps += 1
+
+    def new_cup(slot_a, slot_b):
+        nonlocal cups
+        p2[slot_a] = d.n_out + 2 * cups
+        p2[slot_b] = d.n_out + 2 * cups + 1
+        cups += 1
+
+    for edge in d.edges:
+        (ca, va), (cb, vb) = classify(edge[0]), classify(edge[1])
+        pair = {ca, cb}
+        if pair == {"DI"}:
+            s1, s2 = new_pt(), new_pt()
+            p1[va], p1[vb] = base_pt + s1, base_pt + s2
+            new_cup(out_base_pt + s1, out_base_pt + s2)
+        elif pair == {"DI", "NI"}:
+            k, slot = (va, vb) if ca == "DI" else (vb, va)
+            p1[k] = slot
+        elif pair == {"DI", "NO"}:
+            k, slot_out = (va, vb) if ca == "DI" else (vb, va)
+            s = new_pt()
+            p1[k] = base_pt + s
+            new_cup(slot_out, out_base_pt + s)
+        elif pair == {"DI", "DO"}:
+            k, kout = (va, vb) if ca == "DI" else (vb, va)
+            s = new_pt()
+            p1[k] = base_pt + s
+            p2[out_base_pt + s] = kout
+        elif pair == {"NI"}:
+            new_cap(va, vb)
+        elif pair == {"NI", "NO"}:
+            slot_in, slot_out = (va, vb) if ca == "NI" else (vb, va)
+            s = new_pt()
+            new_cap(slot_in, base_pt + s)
+            new_cup(slot_out, out_base_pt + s)
+        elif pair == {"NI", "DO"}:
+            slot_in, kout = (va, vb) if ca == "NI" else (vb, va)
+            s = new_pt()
+            new_cap(slot_in, base_pt + s)
+            p2[out_base_pt + s] = kout
+        elif pair == {"NO"}:
+            new_cup(va, vb)
+        elif pair == {"NO", "DO"}:
+            slot_out, kout = (va, vb) if ca == "NO" else (vb, va)
+            p2[slot_out] = kout
+        else:  # {"DO"}
+            s1, s2 = new_pt(), new_pt()
+            new_cap(base_pt + s1, base_pt + s2)
+            p2[out_base_pt + s1], p2[out_base_pt + s2] = va, vb
+
+    w_in = d.n_in + 2 * caps
+    w_out = out_base_pt + pt
+    perm1 = [p1[i] for i in range(w_in)]
+    perm2 = [p2[s] for s in range(w_out)]
+
+    stages = []
+    if caps:
+        stages.append(dsl._form_text("ten", ["id"] * d.n_in + ["cap"] * caps))
+    stages += dsl._perm_stage(perm1)
+    if nodes:
+        stages.append(dsl._form_text("ten", [atom_text(g) for g in nodes] + ["id"] * pt))
+    stages += dsl._perm_stage(perm2)
+    if cups:
+        stages.append(dsl._form_text("ten", ["id"] * d.n_out + ["cup"] * cups))
+    if not stages:
+        return "empty" if d.n_in == 0 else dsl._form_text("ten", ["id"] * d.n_in)
+    return dsl._form_text("seq", stages)
 
 
 def reference_verify_rule(rule, budget=4096, samples=1000, seed=0, tol=1e-9):

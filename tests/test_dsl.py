@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import zxzw.dsl as dsl
 import zxzw.gadgets as gad
-from helpers import random_diagram, reference_tokens
+from helpers import random_diagram, reference_print_body, reference_tokens
 from zxzw.diagrams import Diagram, h, iso_equal, seq, ten, w21, x, z
 from zxzw.dsl import DslError, parse, parse_param, parse_phase, print_diagram
 from zxzw.matrices import Matrix
@@ -272,6 +272,41 @@ def test_print_layers_a_composite():
     text = print_diagram(d)
     assert text == "(seq (ten id cap) (ten (Z 1 1 pi/2) (X 1 1 0) id) (perm 1 0 2) (ten id cup))"
     assert iso_equal(parse(text), d)
+
+
+def test_printer_matches_the_reference():
+    # the printer that routed each edge by its pair of end kinds, on random
+    # diagrams of every tag; a few of them large
+    for seed in range(2_100):
+        rng = random.Random(seed)
+        tag = ("zx", "zxt", "zw")[seed % 3]
+        d = random_diagram(rng, rng.randrange(5), rng.randrange(5), tag, 40 if seed % 100 == 0 else 9)
+        body = reference_print_body(d)
+        parts = ([] if body == "empty" else [body]) + ["(seq cap cup)"] * d.loops
+        assert print_diagram(d) == (dsl._form_text("ten", parts) if d.loops else body), seed
+
+
+# every pair of end kinds: boundary input (i), node input (n), node output
+# (u) and boundary output (o): i-i, o-o, i-o, i-n, u-o, n-u, n-n, u-u, i-u, n-o
+_TEN_PAIRS = (
+    "(ten cup cap id (seq (Z 1 1 pi/4) H) (seq cap (ten (Z 1 0 0) (Z 1 0 0)))"
+    " (seq (ten (Z 0 1 0) (Z 0 1 0)) cup) (seq (ten id (Z 0 1 0)) cup) (seq cap (ten (Z 1 0 0) id)))"
+)
+
+
+def test_print_routes_every_pair_of_end_kinds():
+    assert print_diagram(parse(_TEN_PAIRS)) == (
+        "(seq (ten id id id id id cap cap cap cap) (perm 5 6 7 0 8 1 9 2 3 4 10 11 12)"
+        " (ten (Z 1 1 pi/4) H (Z 1 0 0) (Z 1 0 0) (Z 0 1 0) (Z 0 1 0) (Z 0 1 0) (Z 1 0 0)"
+        " id id id id id id id id) (perm 9 3 11 12 7 5 6 2 8 10 4 0 1) (ten id id id id id cup cup cup cup))"
+    )
+
+
+def test_minus_i_reads_as_python_reads_minus_j():
+    # the hand parser returned the literal -1j, whose real part is -0.0
+    assert math.copysign(1.0, parse_param("-i").real) == 1.0
+    assert parse_param("-i") == complex("-j") == -1j
+    assert print_diagram(parse("(wz 1 1 -i)")) == "(wz 1 1 0.0-1.0i)"
 
 
 def test_print_permutation_as_perm_word():

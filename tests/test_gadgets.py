@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import as_array, reference_int_state, reference_ring_state
 from zxzw import diagrams as dg
 from zxzw import gadgets as gad
+from zxzw.diagrams import Diagram
 from zxzw.matrices import Matrix
 from zxzw.rings import Cyclo, INV_SQRT2, SQRT2
 from zxzw.semantics import EXACT, FLOAT, interp
@@ -41,7 +42,7 @@ def test_phase_gadget_is_sqrt2_times_unit():
 
 
 def test_circles():
-    assert scalar_of(gad.circles(3)) == Cyclo(8)
+    assert scalar_of(Diagram.circle(3)) == Cyclo(8)
 
 
 def test_loop_h1_values():
@@ -91,7 +92,7 @@ def test_unit_scalar(j, k):
 
 def test_unit_scalar_powers_of_two_are_loops_or_halves():
     # values and the k >= 1 bound are checked next to the reference folds
-    assert gad.unit_scalar(0, 6) == gad.circles(3)
+    assert gad.unit_scalar(0, 6) == Diagram.circle(3)
     assert gad.unit_scalar(8, -4).loops == 0 and len(gad.unit_scalar(8, -4).nodes) == 4
     assert len(gad.unit_scalar(0, -1).nodes) == 2
 

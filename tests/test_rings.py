@@ -71,6 +71,7 @@ def test_to_complex_is_homomorphism(x, y):
         (x + y).to_complex(), as_complex(x) + as_complex(y),
         rel_tol=0, abs_tol=1e-9 * scale,
     )
+    assert complex(x) == x.to_complex()  # complex() takes a ring element as a number
 
 
 @given(cyclos())

@@ -213,6 +213,14 @@ def test_large_integer_white_node_translates_compactly():
     assert eq_semantic(d, out, EXACT)
 
 
+def test_float_white_parameter_of_modulus_one_is_a_green_spider():
+    # e^{0.3i} from cmath.exp need not have modulus exactly 1
+    d = dg.z(1, 1, 0.3)
+    out = tr.round_trip(d)
+    assert [g.kind for g in out.nodes] == [dg.Z]
+    assert eq_semantic(d, out, FLOAT)
+
+
 def test_translations_carry_one_compact_scalar_per_fragment():
     # node counts before the cached fragments' scalar parts were merged
     # and the (1, 2) state was built from cos plugs: 173, 520, 1,039, 149
@@ -282,6 +290,8 @@ def test_grid_inverses_exact():
 
 
 @given(st.floats(-6.0, 6.0))
+@example(-3.1414224441444425)  # near the pole, where wrapping alpha into [0, 2 pi) lost precision
+@example(-3.14169)
 @settings(max_examples=100, deadline=None)
 def test_float_inverse(alpha):
     if abs(math.cos(alpha / 2.0)) < 1e-6:
