@@ -59,6 +59,13 @@ def _load(path: str) -> Diagram:
         raise InputError(f"{path}: {e}") from None
 
 
+def _print(path: str, d: Diagram) -> str:
+    try:
+        return print_diagram(d)
+    except ValueError as e:  # a parameter that the text would not carry back
+        raise InputError(f"{path}: {e}") from None
+
+
 def _dyadic(num: int, exp: int) -> list:
     """num / 2^exp in lowest terms: an odd numerator, or 0 over 2^0."""
     if num == 0:
@@ -188,7 +195,7 @@ def _cmd_translate(args) -> int:
         out = tr.zx_to_zw(d) if args.to == "zw" else tr.zw_to_zx(d)
     except tr.TranslateError as e:
         raise InputError(f"{args.file}: {e}") from None
-    print(print_diagram(out))
+    print(_print(args.file, out))
     return 0
 
 
@@ -231,9 +238,10 @@ def _cmd_check_proof(args) -> int:
 def _cmd_simplify(args) -> int:
     d = _load(args.file)
     out, trace = rewrite.simplify(d, fuel=args.fuel)
+    text = _print(args.file, out)
     for name, loc in trace:
         print(f"; {name} at {loc}", file=sys.stderr)
-    print(print_diagram(out))
+    print(text)
     return 0
 
 
@@ -317,6 +325,10 @@ def main(argv=None) -> int:
         return 1
     except (InputError, DslError, DiagramError, ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError:  # an input number that float arithmetic cannot hold
+        files = " and ".join(getattr(args, k) for k in ("file", "a", "b") if hasattr(args, k))
+        print(f"error: {files}: a number is too large for a float", file=sys.stderr)
         return 2
 
 

@@ -419,11 +419,19 @@ def _form_text(name: str, items: list[str]) -> str:
 
 
 def _param_text(p) -> str:
+    """The text of a parameter, which `parse_param` reads back: a
+    ValueError for a non-finite number, or an integer past the limit that
+    both `str` and `int` keep (4,300 digits by default)."""
     if isinstance(p, Cyclo):
-        if p.b == p.c == p.d == 0 and p.e == 0:
-            return str(p.a)
-        return f"cyclo:{p.a},{p.b},{p.c},{p.d},{p.e}"
+        try:
+            if p.b == p.c == p.d == 0 and p.e == 0:
+                return str(p.a)
+            return f"cyclo:{p.a},{p.b},{p.c},{p.d},{p.e}"
+        except ValueError:
+            raise ValueError("a parameter is too large to print") from None
     c = complex(p)
+    if not cmath.isfinite(c):
+        raise ValueError(f"cannot print the non-finite parameter {c}")
     if c.imag == 0:
         return repr(c.real)
     sign = "+" if c.imag >= 0 else "-"

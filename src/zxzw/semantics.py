@@ -8,9 +8,13 @@ tolerance at all.
 
 The interpreter contracts sparse generator tensors along the edge list,
 eliminating at each step the pair of tensors whose merge leaves the fewest
-open wires.  There is no pre-pass and no diagram is rebuilt: a red spider
-is its definition, a green spider's tensor with a Hadamard tensor on every
-leg.  Up to arity 4 that definition is contracted once per generator
+open wires.  Every wire is labelled by one rule: its edge index, and where
+both ends lie on the boundary or on one node, a fresh label for its second
+end and an identity tensor joining the two.  So a bare wire is an
+identity, a self-loop a trace, and closed loops one scalar tensor, with no
+case of their own.  There is no pre-pass and no diagram is rebuilt: a red
+spider is its definition, a green spider's tensor with a Hadamard tensor on
+every leg.  Up to arity 4 that definition is contracted once per generator
 object and call, and the spider enters the network as one tensor; a wider
 one enters with a Hadamard per leg.  The result is a `matrices.Matrix` for
 every boundary size: the nonzero entries that the contraction leaves,
@@ -137,17 +141,10 @@ def _param_value(param, exact: bool):
 
 def _gen_entries(g: Gen, exact: bool) -> dict:
     one = Cyclo(1) if exact else 1 + 0j
-    if g.kind == Z or g.kind == WZ:
-        top = (
-            _phase_factor(g.phase, exact)
-            if g.kind == Z
-            else _param_value(g.param, exact)
-        )
-        ent: dict = {}
-        k = g.arity
-        _accum(ent, (0,) * k, one)
-        _accum(ent, (1,) * k, top)
-        return ent
+    if g.kind == Z:
+        return _spider(g.arity, one, _phase_factor(g.phase, exact))
+    if g.kind == WZ:
+        return _spider(g.arity, one, _param_value(g.param, exact))
     if g.kind == H:
         r = INV_SQRT2 if exact else complex(INV_SQRT2)
         return {(0, 0): r, (0, 1): r, (1, 0): r, (1, 1): -r}
@@ -165,38 +162,15 @@ def _gen_entries(g: Gen, exact: bool) -> dict:
     raise SemanticsError(f"no tensor for generator kind {g.kind}")  # X: from Z and H in _contract_diagram
 
 
+def _spider(k: int, one, top) -> dict:
+    """A k-legged spider: `one` on all zeros, `top` on all ones."""
+    return {(0,) * k: one, (1,) * k: top} if k else {(): one + top}
+
+
 _HADAMARD = Gen(H, 1, 1)
 
 
-def _accum(d: dict, key, value):
-    if key in d:
-        d[key] = d[key] + value
-    else:
-        d[key] = value
-
-
 # -- contraction ---------------------------------------------------------------
-
-
-def _self_trace(labels: tuple, entries: dict):
-    """Contract legs of one tensor that share a label (node self-loops)."""
-    while True:
-        dup = None
-        for idx, lab in enumerate(labels):
-            j = labels.index(lab, idx + 1) if lab in labels[idx + 1 :] else -1
-            if j >= 0:
-                dup = (idx, j)
-                break
-        if dup is None:
-            return labels, entries
-        i, j = dup
-        out: dict = {}
-        for key, val in entries.items():
-            if key[i] == key[j]:
-                red = tuple(v for t, v in enumerate(key) if t != i and t != j)
-                _accum(out, red, val)
-        labels = tuple(lab for t, lab in enumerate(labels) if t != i and t != j)
-        entries = out
 
 
 def _picker(pos: tuple):
@@ -325,27 +299,38 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
     from `gen_entries(g)` over the scalar ring with unit `one`, to a map
     from (row, col) to the nonzero entries of its matrix.
 
+    Every wire end is labelled by one rule.  A wire between two distinct
+    nodes, or between a node and the boundary, is one label, its edge
+    index.  A wire whose ends both lie on the boundary or both on one node
+    gives its second end a fresh label and adds a 2-leg identity tensor
+    joining the two, so a bare wire is an identity and a self-loop a trace.
+    Closed loops are one 0-leg tensor worth 2^loops, added when there are
+    loops or no other tensors.
+
     An X spider enters as its definition: a Z tensor, then one Hadamard
     per leg in port order, port 0 on the leg's wire and port 1 on the Z
     tensor's leg.  Up to arity 4 that network is contracted once per
     generator object and call, and the spider enters as one tensor: its
     2^k entries are then no more than the network's 2 + 4k.  A wider X
-    spider enters as the network itself, a Z tensor on inner labels of its
+    spider enters as the network itself, a Z tensor on fresh labels of its
     own and a Hadamard per leg, so that the greedy order can merge each
     Hadamard into a neighbour instead of building 2^k entries."""
-    # label every wire by its index, or by the boundary port it reaches;
-    # a wide X spider's inner labels count on from the last wire index
+    m, n = d.n_out, d.n_in
     tensors = []
     port_labels = [[None] * g.arity for g in d.nodes]
+    weight = {}  # each boundary label's weight in the row-major index row * 2^n + col
+    fresh = len(d.edges)  # fresh labels count on from the last wire index
+    identity = {(0, 0): one, (1, 1): one}
     for idx, (a, b) in enumerate(d.edges):
-        if a[0] != "n" and b[0] != "n":
-            # wire between two boundary ports: a 2-leg identity tensor
-            tensors.append(((_blabel(a), _blabel(b)), {(0, 0): one, (1, 1): one}))
-            continue
-        lab = _blabel(a) if a[0] != "n" else _blabel(b) if b[0] != "n" else idx
-        for end in (a, b):
+        lab_b = idx
+        if a[0] != "n" != b[0] or a[:2] == b[:2]:  # both ends on the boundary, or on one node
+            lab_b, fresh = fresh, fresh + 1
+            tensors.append(((idx, lab_b), identity))
+        for end, lab in ((a, idx), (b, lab_b)):
             if end[0] == "n":
                 port_labels[end[1]][end[2]] = lab
+            else:
+                weight[lab] = 1 << (n - 1 - end[1] if end[0] == "i" else n + m - 1 - end[1])
     # each generator object's tensor (a wide X spider's: its Z tensor) is
     # built once; keyed by identity, as hashing a Gen's phase costs more
     # than rebuilding the few equal generators that are distinct objects
@@ -368,38 +353,22 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
             built[id(g)] = ent
         return ent
 
-    inner = len(d.edges)
     for i, g in enumerate(d.nodes):
         if g.kind != X or g.arity <= 4:
-            tensors.append(_self_trace(tuple(port_labels[i]), tensor(g)))
+            tensors.append((tuple(port_labels[i]), tensor(g)))
             continue
-        legs = tuple(range(inner, inner + g.arity))
-        inner += g.arity
+        legs = tuple(range(fresh, fresh + g.arity))
+        fresh += g.arity
         tensors.append((legs, tensor(g)))
         for lab, lab_in in zip(port_labels[i], legs):
             tensors.append(((lab, lab_in), tensor(_HADAMARD)))
-
-    scalar = one
-    for _ in range(d.loops):
-        scalar = scalar * (one + one)
-    if not tensors:
-        tensors.append(((), {(): scalar}))
-    else:
-        lab0, e0 = tensors[0]
-        tensors[0] = (lab0, {k: v * scalar for k, v in e0.items()})
+    if d.loops or not tensors:
+        tensors.append(((), {(): one * 2**d.loops}))
 
     labels, entries = _contract_all(tensors)
-    # each boundary label's weight in the row-major index row * 2^n + col
-    m, n = d.n_out, d.n_in
-    weight = {("bo", k): 1 << (n + m - 1 - k) for k in range(m)}
-    weight.update({("bi", k): 1 << (n - 1 - k) for k in range(n)})
     assert weight.keys() == set(labels)
     weights = [weight[lab] for lab in labels]
     return {divmod(sum(map(mul, key, weights)), 1 << n): val for key, val in entries.items()}
-
-
-def _blabel(end):
-    return ("bi", end[1]) if end[0] == "i" else ("bo", end[1])
 
 
 # -- equality -------------------------------------------------------------------
@@ -524,10 +493,6 @@ def _laurent_interp(d: Diagram, names: list, exact: bool) -> dict:
         exps = list(base)
         for v, n in g.phase.terms:
             exps[slot[v]] = n
-        top = Laurent({tuple(exps): _phase_factor(Phase(g.phase.const), exact)})
-        ent: dict = {}
-        _accum(ent, (0,) * g.arity, one)
-        _accum(ent, (1,) * g.arity, top)
-        return ent
+        return _spider(g.arity, one, Laurent({tuple(exps): _phase_factor(Phase(g.phase.const), exact)}))
 
     return _contract_diagram(d, entries, one)

@@ -128,9 +128,20 @@ class ParamEncoding:
         return 2**self.n * math.cos(self.beta)
 
 
+def _modulus(r: complex) -> float:
+    """|r|, refused above 2^1023, where 2^n in the encoding leaves the floats."""
+    try:
+        rho = abs(r)
+    except OverflowError:
+        rho = math.inf
+    if rho > 2.0**1023:
+        raise TranslateError(f"parameter {r} has modulus above 2^1023, beyond the float encoding")
+    return rho
+
+
 def encode_param(r: complex) -> ParamEncoding:
     r = complex(r)
-    rho, theta = abs(r), math.atan2(r.imag, r.real)
+    rho, theta = _modulus(r), math.atan2(r.imag, r.real)
     n = max(0, math.ceil(math.log2(rho))) if rho > 0 else 0
     while 2**n < rho:  # guard the ceil against float dust
         n += 1
@@ -174,7 +185,7 @@ def _white_zx(g: Gen) -> Diagram:
             cls = value.sqrt2_power_class()
             if cls is not None:
                 return gad.unit_scalar(*cls)
-    elif abs(abs(r) - 1) <= sys.float_info.epsilon:  # e^{i theta}, as cmath.exp rounds it
+    elif abs(_modulus(r) - 1) <= sys.float_info.epsilon:  # e^{i theta}, as cmath.exp rounds it
         return dg.z(g.n_in, g.n_out, math.atan2(r.imag, r.real))
     return dg.seq(
         dg.z(g.n_in, g.n_out + 1, 0),

@@ -1,9 +1,11 @@
 """Shared test utilities: random diagram generation, matrices as numpy
-arrays for the oracles that compare against them, reference builders for
-the state gadgets, the one-site-per-step simplifier, the per-character
-tokenizer, the printer that routed each edge by its pair of end kinds and
-the one-instance-at-a-time rule verifier."""
+arrays for the oracles that compare against them, a dense `numpy.einsum`
+evaluator, reference builders for the state gadgets, the one-site-per-step
+simplifier, the per-character tokenizer, the printer that routed each edge
+by its pair of end kinds and the one-instance-at-a-time rule verifier."""
 
+import cmath
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -151,6 +153,64 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     object arrays of the entries with their own + and *."""
     product = np.array(a.to_rows(), dtype=object) @ np.array(b.to_rows(), dtype=object)
     return Matrix.from_rows(product.tolist(), a.zero)
+
+
+# -- dense oracle ----------------------------------------------------------------
+# Each generator's closed form as a dense array, and the network contracted
+# by `numpy.einsum`: an evaluator that shares no code with `semantics`.
+
+_DENSE_ENTRIES = {
+    "H": {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1},
+    "W11": {(0, 1): 1, (1, 0): 1},
+    "W12": {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
+    "CROSS": {(0, 0, 0, 0): 1, (0, 1, 1, 0): 1, (1, 0, 0, 1): 1, (1, 1, 1, 1): -1},
+    "HALF": {(): 0.5},
+}
+
+
+def _dense_tensor(g: Gen) -> np.ndarray:
+    """The tensor of a variable-free generator, one axis per port in order."""
+    k = g.arity
+    if g.kind in ("Z", "X"):
+        top = cmath.exp(1j * g.phase.to_float())
+    elif g.param is not None:
+        top = complex(g.param)
+    t = np.zeros((2,) * k, dtype=complex)
+    if g.kind in ("Z", "WZ"):
+        t[(0,) * k] += 1
+        t[(1,) * k] += top
+    elif g.kind == "X":  # X(a)[x] = (1 + e^{ia} (-1)^{|x|}) / sqrt2^k
+        for x in np.ndindex(t.shape):
+            t[x] = (1 + top * (-1) ** sum(x)) / math.sqrt(2) ** k
+    elif g.kind == "TRI":  # [[1, r], [0, 1]], input axis first
+        t[0, 0] = t[1, 1] = 1
+        t[1, 0] = top
+    else:
+        for x, v in _DENSE_ENTRIES[g.kind].items():
+            t[x] = v
+        if g.kind == "H":
+            t /= math.sqrt(2)
+    return t
+
+
+def einsum_interp(d: Diagram) -> np.ndarray:
+    """The 2^n_out x 2^n_in matrix of a variable-free `d`, contracted by
+    `numpy.einsum` with one index per wire: a self-loop is an index that
+    one tensor repeats (a trace), a wire between two boundary ports an
+    identity, and closed loops a factor 2^loops."""
+    index = {}
+    operands = [np.array(2.0**d.loops, dtype=complex), []]
+    for w, (a, b) in enumerate(d.edges):
+        index[a] = 2 * w
+        if a[0] != "n" and b[0] != "n":
+            index[b] = 2 * w + 1
+            operands += [np.eye(2, dtype=complex), [2 * w, 2 * w + 1]]
+        else:
+            index[b] = 2 * w
+    for i, g in enumerate(d.nodes):
+        operands += [_dense_tensor(g), [index["n", i, p] for p in range(g.arity)]]
+    out = [index["o", k] for k in range(d.n_out)] + [index["i", k] for k in range(d.n_in)]
+    return np.einsum(*operands, out).reshape(2**d.n_out, 2**d.n_in)
 
 
 # -- reference gadget builders -------------------------------------------------

@@ -222,6 +222,42 @@ def test_eval_of_an_entry_too_large_to_print_is_one_error_line(tmp_path, flags):
     assert "too large" in proc.stderr
 
 
+_HUGE = "9" * 2200  # two of these multiply to more digits than an int prints (4,300)
+_BIG = "9" * 400  # more digits than a float holds
+
+
+@pytest.mark.parametrize(
+    "command, texts, message",
+    [
+        (["simplify"], [f"(seq (wz 1 1 {_HUGE}) (wz 1 1 {_HUGE}))"], "too large to print"),
+        (["simplify"], ["(seq (wz 1 1 1e308+1e308i) (wz 1 1 1e308+1e308i))"], "non-finite"),
+        (["simplify"], [f"(seq (wz 1 1 {_BIG}) (wz 1 1 0.5))"], "too large for a float"),
+        (["eval", "--float"], [f"(wz 1 1 {_BIG})"], "too large for a float"),
+        (["eval"], [f"(seq (tri {_BIG}) (Z 1 1 0.3))"], "too large for a float"),
+        (["eq"], [f"(wz 1 1 {_BIG})", "(wz 1 1 0.5)"], "too large for a float"),
+        (["eq"], [f"(tri {_BIG})", "(tri 0.5)"], "too large for a float"),
+        (["roundtrip"], [f"(seq (tri {_BIG}) (Z 1 1 0.3))"], "too large for a float"),
+        (["translate", "--to", "zx"], ["(wz 1 1 9e307+1i)"], "above 2^1023"),
+        (["translate", "--to", "zx"], ["(wz 1 1 1.7e308+1.7e308i)"], "above 2^1023"),
+        (["roundtrip"], ["(tri 9e307+1i)"], "above 2^1023"),
+    ],
+    ids=["simplify-digits", "simplify-nan", "simplify-float", "eval-float", "eval-best-float",
+         "eq-wz", "eq-tri", "roundtrip-float", "translate-9e307", "translate-1.7e308",
+         "roundtrip-9e307"],
+)
+def test_number_beyond_float_or_text_is_one_error_line(tmp_path, command, texts, message):
+    if message == "too large to print" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    files = [write(tmp_path, f"in{k}.zx", text + "\n") for k, text in enumerate(texts)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zxzw.cli", *command, *files], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {files[0]}") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _limit_memory():
     # a regression to building every row of a 2^40-row matrix ends in a
     # MemoryError here, not in filling the machine

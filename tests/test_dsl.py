@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import zxzw.dsl as dsl
 import zxzw.gadgets as gad
 from helpers import random_diagram, reference_print_body, reference_tokens
-from zxzw.diagrams import Diagram, h, iso_equal, seq, ten, w21, x, z
+from zxzw.diagrams import Diagram, Gen, h, iso_equal, seq, ten, w21, x, z
 from zxzw.dsl import DslError, parse, parse_param, parse_phase, print_diagram
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -369,3 +370,22 @@ def test_round_trip_with_exotic_parameters():
     d2 = parse(print_diagram(d))
     assert iso_equal(d, d2)
     assert print_diagram(parse(print_diagram(d))) == print_diagram(d)
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        (complex("nan+infj"), "non-finite"),
+        (complex(1e308, float("inf")), "non-finite"),
+        (Cyclo(10**4400), "too large to print"),
+        (Cyclo(1, 10**4400, 0, 0, 3), "too large to print"),
+    ],
+    ids=["nan", "inf", "long-integer", "long-cyclo-field"],
+)
+def test_print_refuses_a_parameter_that_does_not_parse_back(param, message):
+    # each would print as text that `parse` refuses
+    if message == "too large to print" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints and reads integers of any length")
+    d = Diagram.generator(Gen("WZ", 1, 1, None, param))
+    with pytest.raises(ValueError, match=message):
+        print_diagram(d)

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_array, matmul, random_diagram, rotate_cross_ports, shuffled_copy
+from helpers import (
+    as_array, einsum_interp, matmul, random_diagram, rotate_cross_ports, shuffled_copy,
+)
 from test_acceptance import criterion_9_pairs
 from zxzw import diagrams as dg
 from zxzw import semantics
@@ -187,6 +190,65 @@ def test_small_x_spider_with_a_phase_variable_is_its_definition():
     assert eq_linear(dg.x(2, 2, a), _x_as_definition(2, 2, a), samples=5, seed=0).proved
     shifted = eq_linear(dg.x(2, 2, a), _x_as_definition(2, 2, a + Phase.PI), samples=5, seed=0)
     assert not shifted.equal and not shifted.proved
+
+
+# -- the dense einsum oracle -------------------------------------------------------
+
+
+def _float_constants(d: Diagram, rng: random.Random) -> Diagram:
+    """`d` with every phase and parameter replaced by an off-grid float."""
+    nodes = []
+    for g in d.nodes:
+        if g.phase is not None:
+            g = Gen(g.kind, g.n_in, g.n_out, Phase.coerce(rng.uniform(0, 2 * math.pi)))
+        elif g.param is not None:
+            g = Gen(g.kind, g.n_in, g.n_out, None, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        nodes.append(g)
+    return Diagram(d.tag, nodes, d.edges, d.n_in, d.n_out, d.loops)
+
+
+@pytest.mark.parametrize("tag", ["zx", "zxt", "zw"])
+def test_interp_matches_the_einsum_oracle(tag):
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(300):
+        d = random_diagram(rng, tag=tag, max_nodes=rng.choice([2, 4, 5]))
+        for a, b in d.edges:
+            seen["self-loop"] += a[0] == b[0] == "n" and a[1] == b[1]
+            seen["bare wire"] += a[0] != "n" and b[0] != "n"
+        seen["closed loop"] += d.loops > 0
+        want = einsum_interp(d)
+        assert np.allclose(as_array(interp(d, EXACT)), want, atol=1e-9)
+        assert np.allclose(as_array(interp(d, FLOAT)), want, atol=1e-9)
+        off = _float_constants(d, rng)
+        assert np.allclose(as_array(interp(off, FLOAT)), einsum_interp(off), atol=1e-9)
+    assert min(seen[k] for k in ("self-loop", "bare wire", "closed loop")) >= 10, seen
+
+
+def test_wide_x_spider_on_a_self_loop_matches_the_einsum_oracle():
+    cap_on_two = ten(Diagram.cap(), Diagram.identity(1))  # 1 -> 3, legs 0 and 1 joined
+    for a in (Fraction(1, 4), Fraction(3, 2), 0.3):
+        for d in (seq(Diagram.cap(), dg.x(2, 4, a)), seq(cap_on_two, dg.x(3, 3, a)),
+                  seq(cap_on_two, dg.x(3, 3, a), flip(cap_on_two))):
+            want = einsum_interp(d)
+            assert np.allclose(as_array(interp(d, FLOAT)), want, atol=1e-9)
+            if isinstance(a, Fraction):
+                assert np.allclose(as_array(interp(d, EXACT)), want, atol=1e-9)
+
+
+def test_self_looped_spider_with_a_phase_variable():
+    # a self-loop traces two legs of a spider away, keeping its phase
+    a = Phase.var("a")
+    cap_on_two = ten(Diagram.cap(), Diagram.identity(1))
+    pairs = [(seq(Diagram.cap(), dg.z(2, 1, a)), dg.z(0, 1, a)),
+             (seq(cap_on_two, dg.x(3, 3, a)), dg.x(1, 3, a))]
+    for looped, traced in pairs:
+        assert eq_linear(looped, traced, samples=5, seed=0).proved
+        for v in (Fraction(1, 4), 0.3):
+            got = einsum_interp(looped.substitute({"a": v}))
+            assert np.allclose(got, einsum_interp(traced.substitute({"a": v})), atol=1e-9)
+        shifted = traced.substitute({"a": a + Phase.PI})
+        assert not eq_linear(looped, shifted, samples=5, seed=0).equal
 
 
 def test_interp_builds_no_diagram(monkeypatch):
