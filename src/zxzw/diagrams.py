@@ -464,11 +464,10 @@ def seq(*ds: Diagram) -> Diagram:
 
 
 def ten(*ds: Diagram) -> Diagram:
-    """Tensor product, stacking the factors top to bottom."""
-    if not ds:
-        raise DiagramError("ten needs at least one diagram")
-    tag = ds[0].tag
-    for d in ds[1:]:
+    """Tensor product, stacking the factors top to bottom; of no factors,
+    the empty diagram, the monoidal unit."""
+    tag = None
+    for d in ds:
         tag = _merge_tags(tag, d.tag)
     if len(ds) == 1:
         return ds[0]
@@ -751,7 +750,7 @@ def h() -> Diagram:
 
 def h_layer(n: int) -> Diagram:
     """A Hadamard on each of n parallel wires."""
-    return ten(*([h()] * n)) if n else Diagram.identity(0)
+    return ten(*([h()] * n))
 
 
 def w11() -> Diagram:

@@ -5,9 +5,10 @@ pi/4 lives in the ring D[omega] = Z[1/2][omega] with omega^4 = -1.  The classes
 here implement that ring with arbitrary-precision integers, plus the embedding
 into complex floats.  1/sqrt(2) is (omega - omega^3)/2.
 
-`Laurent` holds the interpretation of a diagram whose phases carry
-variables: a Laurent polynomial in z_v = e^{iv}, with coefficients in the
-ring or, when some constant is not in it, in complex floats.
+`Laurent` extends the ring for diagrams whose phases carry variables: a
+Laurent polynomial in z_v = e^{iv}, with coefficients in the ring or, when
+some constant is not in it, in complex floats.  It mixes with bare ring
+elements, so only a phase with a variable becomes a polynomial.
 """
 
 from __future__ import annotations
@@ -201,9 +202,11 @@ class Laurent:
     """A Laurent polynomial sum_n c_n z^n in commuting variables z_1..z_k.
 
     `terms` maps integer exponent tuples (one slot per variable) to nonzero
-    coefficients, all Cyclo (exact) or all complex (float).  Multiplication
-    also accepts a bare coefficient.  Comparison with 0 is `is_zero`, so the
-    module-level `is_zero` needs no case for this type.
+    coefficients, all exact (Cyclo or int) or all complex (float).  `+`,
+    `-` and `*` also take a bare coefficient on either side; as the zero
+    polynomial has no slots, it plus a constant is the bare constant.
+    Comparison with 0 is `is_zero`, so the module-level `is_zero` needs no
+    case for this type.
     """
 
     __slots__ = ("terms",)
@@ -211,17 +214,26 @@ class Laurent:
     def __init__(self, terms: dict):
         self.terms = {n: c for n, c in terms.items() if not is_zero(c)}
 
-    def __add__(self, other: "Laurent") -> "Laurent":
+    def __add__(self, other) -> "Laurent":
         out = dict(self.terms)
+        if not isinstance(other, Laurent):
+            if not out:
+                return other
+            other = Laurent({(0,) * len(next(iter(out))): other})
         for n, c in other.terms.items():
             out[n] = out[n] + c if n in out else c
         return Laurent(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Laurent":
         return Laurent({n: -c for n, c in self.terms.items()})
 
-    def __sub__(self, other: "Laurent") -> "Laurent":
+    def __sub__(self, other) -> "Laurent":
         return self + (-other)
+
+    def __rsub__(self, other) -> "Laurent":
+        return -self + other
 
     def __mul__(self, other) -> "Laurent":
         if not isinstance(other, Laurent):
@@ -259,10 +271,11 @@ class Laurent:
     def at_omega(self, rs):
         """The value at z_v = omega^{r_v}: a Cyclo for exact coefficients,
         a complex for float ones (the int 0 for the zero polynomial)."""
-        return sum(
-            c * (_OMEGA_POWERS if isinstance(c, Cyclo) else _OMEGA_FLOATS)[sum(a * r for a, r in zip(n, rs)) % 8]
-            for n, c in self.terms.items()
-        )
+        value = 0
+        for n, c in self.terms.items():
+            k = sum(a * r for a, r in zip(n, rs)) % 8
+            value = value + c * (_OMEGA_FLOATS if isinstance(c, complex) else _OMEGA_POWERS)[k]
+        return value
 
     def at_angles(self, thetas) -> complex:
         """The complex value at z_v = e^{i theta_v}."""

@@ -7,11 +7,14 @@ rules with continuous parameters are checked on sampled bindings in float
 arithmetic.  The verifier doubles as the transcription oracle: a rule enters
 a set only if every checked instance is sound.
 
-A grid rule's bindings that differ only in their `GRID8` phases are
-checked together: the pair is built once with a phase variable for each
-such name, each side is interpreted once over Laurent polynomials in
-z = e^{i phase}, and every binding is decided exactly from the difference.
-A binding with no such partner is checked concretely.
+Every binding is decided by one contraction of the difference of its
+sides (`semantics.laurent_difference`).  A grid rule's bindings that
+differ only in their `GRID8` phases are decided together: the pair is
+built once with a phase variable for each such name, the difference is a
+Laurent polynomial in z = e^{i phase}, and each binding is decided exactly
+at its grid point.  A binding with no such partner is contracted by the
+same difference, without variables, in the exact or float ring that
+`interp` uses.
 
 Sets:
 
@@ -36,8 +39,8 @@ from . import diagrams as dg
 from . import gadgets as gad
 from .diagrams import Diagram
 from .phases import Phase
-from .rings import Cyclo, is_zero
-from .semantics import EXACT, FLOAT, Float, eq_semantic, interp, laurent_difference
+from .rings import Cyclo
+from .semantics import FLOAT, check_tol, interp, laurent_difference, vanishes_at
 
 F = Fraction
 
@@ -87,14 +90,10 @@ def _apply_variant(d: Diagram, variant: str) -> Diagram:
 
 def instantiate(rule: Rule, binding: dict, variant: str = "base"):
     """Build the concrete (lhs, rhs) pair for one binding and variant."""
-    _check_domain(rule, binding)
-    return _sides(rule, rule.build(binding), variant)
-
-
-def _check_domain(rule: Rule, binding: dict) -> None:
     for name, values in rule.grid:
         if name in binding and binding[name] not in values:
             raise RuleError(f"{rule.name}: {name}={binding[name]!r} outside domain")
+    return _sides(rule, rule.build(binding), variant)
 
 
 def _sides(rule: Rule, pair: tuple, variant: str):
@@ -164,12 +163,14 @@ RULE_CP = Rule(
 )
 
 
-def _b_build(b):
+def _b_distributed():
+    """B's distributed side without its sqrt(2): two copies, crossed, two merges."""
     xm, zc = dg.x(2, 1, 0), dg.z(1, 2, 0)
-    lhs = dg.seq(xm, zc)
-    mid = dg.ten(_id(1), Diagram.swap(), _id(1))
-    rhs = dg.ten(dg.seq(dg.ten(zc, zc), mid, dg.ten(xm, xm)), gad.sqrt2())
-    return lhs, rhs
+    return dg.seq(dg.ten(zc, zc), dg.ten(_id(1), Diagram.swap(), _id(1)), dg.ten(xm, xm))
+
+
+def _b_build(b):
+    return dg.seq(dg.x(2, 1, 0), dg.z(1, 2, 0)), dg.ten(_b_distributed(), gad.sqrt2())
 
 
 RULE_B = Rule(
@@ -751,20 +752,21 @@ def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
     return bindings
 
 
-def _decide_group(rule: Rule, group: list, phases: list, variants: tuple) -> dict:
+def _decide_group(rule: Rule, group: list, phases: list, variants: tuple, tol: float) -> dict:
     """The verdicts per variant of each binding in `group`, which agree on
-    every name but the `GRID8` names in `phases`: one build with a phase
-    variable per name, one Laurent contraction per variant, and each
-    binding decided at its grid point z = omega^(4 * value)."""
-    for b in group:
-        _check_domain(rule, b)
-    pair = rule.build({**group[0], **{name: Phase.var(name) for name in phases}})
-    points = [[int(4 * b[name]) for name in phases] for b in group]
+    every name but the `GRID8` names in `phases`: one build, one
+    contraction of the difference per variant, and each binding decided at
+    its grid point z = omega^(4 * value).  Two or more bindings are built
+    with a phase variable per name; a lone one is built as it is, and its
+    difference has no variables."""
+    names = phases if len(group) > 1 else []
+    pair = rule.build({**group[0], **{name: Phase.var(name) for name in names}})
+    points = [[int(4 * b[name]) for name in names] for b in group]
     verdicts = [[] for _ in group]
     for v in variants:
-        _, grid = laurent_difference(*_sides(rule, pair, v), phases, True)
+        _, grid = laurent_difference(*_sides(rule, pair, v), names, rule.exact)
         for out, rs in zip(verdicts, points):
-            out.append(all(is_zero(e.at_omega(rs)) for e in grid))
+            out.append(vanishes_at(grid, rs, tol))
     return {id(b): out for b, out in zip(group, verdicts)}
 
 
@@ -777,13 +779,12 @@ def verify_rule(
 ) -> RuleReport:
     """Check one rule over its grid or sampled bindings, plus all variants.
 
-    Grid bindings that agree on all but their `GRID8` phases are decided
-    together (`_decide_group`), a lone one concretely; the report is that
-    of checking every instance concretely."""
+    Every binding is decided by `_decide_group`: those that agree on all
+    but their `GRID8` phases together, a lone one on its own; the report
+    is that of checking every instance with `interp`."""
     if budget < 0 or samples < 0:
         raise RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
-    approx = Float(tol)  # refuses a meaningless tolerance for exact rules too
-    mode = EXACT if rule.exact else approx
+    check_tol(tol)  # a meaningless tolerance is refused for exact rules too
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = _bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)
@@ -795,20 +796,13 @@ def verify_rule(
     groups: dict = {}
     for b in bindings:
         groups.setdefault(arities(b), []).append(b)
-    decided: dict = {}  # id(binding) -> its verdicts, for groups decided symbolically
+    decided: dict = {}  # id(binding) -> its verdicts
     checked = failed = 0
     failures = []
     for b in bindings:
-        group = groups[arities(b)]
-        if phases and len(group) > 1:
-            if id(b) not in decided:
-                decided.update(_decide_group(rule, group, phases, variants))
-            verdicts = decided[id(b)]
-        else:
-            _check_domain(rule, b)
-            pair = rule.build(b)
-            verdicts = (eq_semantic(*_sides(rule, pair, v), mode) for v in variants)
-        for v, ok in zip(variants, verdicts):
+        if id(b) not in decided:
+            decided.update(_decide_group(rule, groups[arities(b)], phases, variants, tol))
+        for v, ok in zip(variants, decided[id(b)]):
             checked += 1
             if ok:
                 continue
@@ -845,75 +839,46 @@ def verify_soundness(
 
 
 def corrupted_rules() -> tuple:
-    """Ten broken variations; each must FAIL verification."""
+    """Ten broken variations; each must FAIL verification.  `control`
+    builds each from its rule, replacing only the side or sides that it
+    breaks."""
 
-    def sup_bad(b):
-        a = b["a"]
-        lhs = dg.ten(
-            dg.seq(dg.ten(dg.z(0, 1, a), dg.z(0, 1, a + F(1, 2))), dg.x(2, 1, 0)),
-            gad.dot(0),
-        )
-        return lhs, dg.ten(gad.dot(2 * a + 1), dg.x(0, 1, 0))
+    def control(rule, name, lhs=None, rhs=None):
+        def build(b):
+            pair = rule.build(b)
+            return (pair[0] if lhs is None else lhs(b)), (pair[1] if rhs is None else rhs(b))
 
-    def k_bad(b):
-        a = b["a"]
-        lhs = dg.ten(dg.seq(dg.x(1, 1, 1), dg.z(1, 1, a)), gad.sqrt2())
-        rhs = dg.ten(dg.seq(dg.z(1, 1, -a), dg.x(1, 1, 1)), gad.sqrt2())
-        return lhs, rhs
-
-    def b_bad(b):
-        xm, zc = dg.x(2, 1, 0), dg.z(1, 2, 0)
-        mid = dg.ten(_id(1), Diagram.swap(), _id(1))
-        rhs = dg.seq(dg.ten(zc, zc), mid, dg.ten(xm, xm))
-        return dg.seq(xm, zc), rhs
-
-    def eu_bad(b):
-        lhs = dg.ten(dg.h(), gad.sqrt2())
-        rhs = dg.ten(
-            dg.seq(dg.z(1, 1, F(1, 2)), dg.x(1, 1, F(1, 2)), dg.z(1, 1, F(1, 2))),
-            gad.dot(F(1, 2)),
-        )
-        return lhs, rhs
-
-    def s_bad(b):
-        lhs, _ = _s_build(b)
-        return lhs, dg.z(
-            b["n1"] + b["n2"], b["m1"] + b["m2"], b["alpha"] - b["beta"]
-        )
-
-    def ta_bad(b):
-        return dg.seq(dg.tri(b["r"]), dg.tri(b["s"])), dg.tri(b["r"] - b["s"])
-
-    def w4a_bad(b):
-        lhs = dg.seq(
-            dg.ten(dg.white(0, 1, b["r"]), dg.white(0, 1, b["s"])),
-            dg.w21(),
-            dg.w11(),
-        )
-        return lhs, dg.white(0, 1, b["r"] * b["s"])
-
-    def half_bad(b):
-        return dg.half(), Diagram.empty()
-
-    def cross_bad(b):
-        return dg.zw_cross(), Diagram.swap()
-
-    def c_bad(b):
-        t = gad.triangle()
-        return dg.seq(t, dg.z(1, 1, F(1, 2)), t), dg.z(1, 1, F(1, 2))
-
-    def mut(rule, name, build):
         return replace(rule, name=name, build=build, domain=rule.domain + " (deliberately broken)")
 
+    def sup_lhs(b):  # the states a quarter turn apart, not antipodal
+        states = dg.ten(dg.z(0, 1, b["a"]), dg.z(0, 1, b["a"] + F(1, 2)))
+        return dg.ten(dg.seq(states, dg.x(2, 1, 0)), gad.dot(0))
+
+    def k_rhs(b):  # sqrt(2) where the phase gadget belongs
+        return dg.ten(dg.seq(dg.z(1, 1, -b["a"]), dg.x(1, 1, 1)), gad.sqrt2())
+
+    def eu_rhs(b):  # the dot's quarter turn has the wrong sign
+        q = F(1, 2)
+        return dg.ten(dg.seq(dg.z(1, 1, q), dg.x(1, 1, q), dg.z(1, 1, q)), gad.dot(q))
+
+    def s_rhs(b):  # the phases subtract
+        return dg.z(b["n1"] + b["n2"], b["m1"] + b["m2"], b["alpha"] - b["beta"])
+
+    def c_lhs(b):  # a pi/2 spider, not a pi one, in the sandwich
+        t = gad.triangle()
+        return dg.seq(t, dg.z(1, 1, F(1, 2)), t)
+
+    zw = AXIOM_SETS["zw"]
     return (
-        mut(RULE_SUP, "SUP~bad", sup_bad),
-        mut(RULE_K, "K~bad", k_bad),
-        mut(RULE_B, "B~bad", b_bad),
-        mut(RULE_EU, "EU~bad", eu_bad),
-        mut(RULE_S, "S~bad", s_bad),
-        mut(RULE_TA, "TA~bad", ta_bad),
-        mut(AXIOM_SETS["zw"].rule("4a"), "4a~bad", w4a_bad),
-        mut(RULE_HALF, "half~bad", half_bad),
-        mut(AXIOM_SETS["zw"].rule("0a"), "cross~bad", cross_bad),
-        mut(RULE_C, "C~bad", c_bad),
+        control(RULE_SUP, "SUP~bad", lhs=sup_lhs),
+        control(RULE_K, "K~bad", rhs=k_rhs),
+        control(RULE_B, "B~bad", rhs=lambda b: _b_distributed()),  # no sqrt(2)
+        control(RULE_EU, "EU~bad", rhs=eu_rhs),
+        control(RULE_S, "S~bad", rhs=s_rhs),
+        control(RULE_TA, "TA~bad", rhs=lambda b: dg.tri(b["r"] - b["s"])),
+        control(zw.rule("4a"), "4a~bad", rhs=lambda b: dg.white(0, 1, b["r"] * b["s"])),
+        control(RULE_HALF, "half~bad", lhs=lambda b: dg.half()),
+        control(zw.rule("0a"), "cross~bad", lhs=lambda b: dg.zw_cross(),
+                rhs=lambda b: Diagram.swap()),
+        control(RULE_C, "C~bad", lhs=c_lhs, rhs=lambda b: dg.z(1, 1, F(1, 2))),
     )

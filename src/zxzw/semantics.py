@@ -28,10 +28,12 @@ over the 2^legs assignments is ever built, so a wide spider costs what its
 nonzero entries do.  Within one call each generator object's tensor is
 built once and shared by every node that holds it.
 
-The same contraction runs over Laurent polynomials in z_v = e^{iv} for
-diagrams whose phases carry variables, so `eq_linear` interprets each side
-once and decides every valuation from the difference; when all constants
-are exact, an identically zero difference proves equality for every phase.
+The same contraction runs over the ring extended by Laurent polynomials in
+z_v = e^{iv}: a phase with variables enters as a monomial, every other
+entry as a ring element.  So `eq_linear` interprets each side once and
+decides every valuation from the difference; when all constants are
+exact, an identically zero difference proves equality for every phase.
+The rule verifier decides every binding by that difference.
 """
 
 from __future__ import annotations
@@ -124,8 +126,15 @@ def phase_value(phase):
     return cmath.exp(1j * phase.to_float()) if k is None else Cyclo.omega_power(k)
 
 
-def _phase_factor(phase, exact: bool):
-    v = phase_value(phase)  # free variables were refused before
+def _phase_factor(phase, exact: bool, slot: Mapping[str, int]):
+    """e^{i phase} in the ring; for a phase with variables, the monomial
+    in z_v = e^{iv} whose exponent of v sits at slot[v]."""
+    if phase.terms:
+        exps = [0] * len(slot)
+        for v, n in phase.terms:
+            exps[slot[v]] = n
+        return Laurent({tuple(exps): _phase_factor(Phase(phase.const), exact, slot)})
+    v = phase_value(phase)
     if exact and v.__class__ is not Cyclo:
         raise SemanticsError(f"phase {phase!r} is not an exact multiple of pi/4")
     return v if exact else complex(v)
@@ -139,10 +148,10 @@ def _param_value(param, exact: bool):
     return complex(param)
 
 
-def _gen_entries(g: Gen, exact: bool) -> dict:
+def _gen_entries(g: Gen, exact: bool, slot: Mapping[str, int]) -> dict:
     one = Cyclo(1) if exact else 1 + 0j
     if g.kind == Z:
-        return _spider(g.arity, one, _phase_factor(g.phase, exact))
+        return _spider(g.arity, one, _phase_factor(g.phase, exact, slot))
     if g.kind == WZ:
         return _spider(g.arity, one, _param_value(g.param, exact))
     if g.kind == H:
@@ -289,15 +298,15 @@ def interp(d: Diagram, mode: InterpMode = EXACT) -> Matrix:
     if d.free_variables():
         raise SemanticsError(f"free phase variables {sorted(d.free_variables())}")
     exact = isinstance(mode, Exact)
-    one = Cyclo(1) if exact else 1 + 0j
-    coords = _contract_diagram(d, lambda g: _gen_entries(g, exact), one)
+    coords = _contract_diagram(d, exact, {})
     return Matrix(coords, 1 << d.n_out, 1 << d.n_in, Cyclo(0) if exact else 0j)
 
 
-def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
-    """Contract the tensor network of `d`, whose generator tensors come
-    from `gen_entries(g)` over the scalar ring with unit `one`, to a map
-    from (row, col) to the nonzero entries of its matrix.
+def _contract_diagram(d: Diagram, exact: bool, slot: Mapping[str, int]) -> dict:
+    """Contract the tensor network of `d`, exact or float, to a map from
+    (row, col) to the nonzero entries of its matrix.  A phase with
+    variables, which must all be in `slot`, enters as a Laurent monomial
+    (`_phase_factor`); every other entry stays a bare ring element.
 
     Every wire end is labelled by one rule.  A wire between two distinct
     nodes, or between a node and the boundary, is one label, its edge
@@ -316,6 +325,7 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
     own and a Hadamard per leg, so that the greedy order can merge each
     Hadamard into a neighbour instead of building 2^k entries."""
     m, n = d.n_out, d.n_in
+    one = Cyclo(1) if exact else 1 + 0j
     tensors = []
     port_labels = [[None] * g.arity for g in d.nodes]
     weight = {}  # each boundary label's weight in the row-major index row * 2^n + col
@@ -340,9 +350,9 @@ def _contract_diagram(d: Diagram, gen_entries, one) -> dict:
         ent = built.get(id(g))
         if ent is None:
             if g.kind != X:
-                ent = gen_entries(g)
+                ent = _gen_entries(g, exact, slot)
             else:
-                ent = gen_entries(Gen(Z, g.n_in, g.n_out, g.phase))
+                ent = _gen_entries(Gen(Z, g.n_in, g.n_out, g.phase), exact, slot)
                 k = g.arity
                 if k <= 4:
                     # leg i's Hadamard takes label i and leaves k + i as the
@@ -447,7 +457,7 @@ def eq_linear(
     if grid:
         for checked, combo in enumerate(combos, 1):
             rs = [combo // 8**i % 8 for i in range(len(names))]
-            if not all(_negligible(e.at_omega(rs), tol) for e in grid):
+            if not vanishes_at(grid, rs, tol):
                 return LinearEqResult(False, {v: Fraction(r, 4) for v, r in zip(names, rs)}, checked)
     checked = len(combos)
     for _ in range(samples):
@@ -459,40 +469,30 @@ def eq_linear(
     return LinearEqResult(True, None, checked, proved)
 
 
-def _negligible(x, tol: float) -> bool:
-    return x.is_zero() if isinstance(x, Cyclo) else abs(x) <= tol
+def vanishes_at(grid: list, rs: list, tol: float) -> bool:
+    """True when every polynomial of `grid` is zero at z_v = omega^{r_v}:
+    exactly for ring coefficients, within `tol` for float ones."""
+    values = (e.at_omega(rs) for e in grid)
+    return all(x.is_zero() if isinstance(x, Cyclo) else abs(x) <= tol for x in values)
 
 
 def laurent_difference(d1: Diagram, d2: Diagram, names: list, exact: bool) -> tuple:
-    """The nonzero entries of `d1` minus `d2`, each side interpreted once
-    over Laurent polynomials in z_v = e^{iv} with one exponent slot per
-    name, and the entries that stay nonzero on the pi/4 grid.
+    """The nonzero entries of `d1` minus `d2`, exact or float, as Laurent
+    polynomials in z_v = e^{iv} with one exponent slot per name, and the
+    entries that stay nonzero on the pi/4 grid.  Each side is contracted
+    once, in `interp`'s ring extended by the phases with variables, and an
+    entry with no variable becomes a constant polynomial; with no names
+    the first list is `interp`'s entrywise difference.
 
     In exact mode the second list holds the entries that are nonzero mod
     z_v^8 - 1: as the 8-point DFT over Z[1/2][omega] is invertible, an
     entry vanishes at every z_v = omega^r exactly when that remainder is
     zero.  In float mode it is the first list."""
-    m1, m2 = (_laurent_interp(d, names, exact) for d in (d1, d2))
-    zero = Laurent({})
-    diff = [m1.get(k, zero) - m2.get(k, zero) for k in m1.keys() | m2.keys()]
+    slot = {v: i for i, v in enumerate(names)}
+    m1, m2 = (_contract_diagram(d, exact, slot) for d in (d1, d2))
+    base = (0,) * len(names)
+    diff = (m1.get(k, 0) - m2.get(k, 0) for k in m1.keys() | m2.keys())
+    diff = [e if isinstance(e, Laurent) else Laurent({base: e}) for e in diff]
     diff = [e for e in diff if not e.is_zero()]
     grid = [e for e in (e.mod_z8() for e in diff) if not e.is_zero()] if exact else diff
     return diff, grid
-
-
-def _laurent_interp(d: Diagram, names: list, exact: bool) -> dict:
-    """`d` interpreted over Laurent polynomials in z_v = e^{iv}, one
-    exponent slot per name: a map from (row, col) to nonzero entries."""
-    slot = {v: i for i, v in enumerate(names)}
-    base = (0,) * len(names)
-    one = Laurent({base: Cyclo(1) if exact else 1 + 0j})
-
-    def entries(g: Gen) -> dict:
-        if g.kind != Z or g.phase.is_constant:
-            return {k: Laurent({base: v}) for k, v in _gen_entries(g, exact).items()}
-        exps = list(base)
-        for v, n in g.phase.terms:
-            exps[slot[v]] = n
-        return _spider(g.arity, one, Laurent({tuple(exps): _phase_factor(Phase(g.phase.const), exact)}))
-
-    return _contract_diagram(d, entries, one)

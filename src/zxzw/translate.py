@@ -93,11 +93,11 @@ def zx_to_zw(d: Diagram) -> Diagram:
         if g.kind == TRI:
             return zw_triangle(g.param)
         if g.kind == X:
-            core = dg.white(g.n_in, g.n_out, phase_value(g.phase))
-            if g.n_in:
-                core = dg.ten(*[_had_zw()] * g.n_in).then(core)
-            if g.n_out:
-                core = core.then(dg.ten(*[_had_zw()] * g.n_out))
+            core = dg.seq(
+                dg.ten(*[_had_zw()] * g.n_in),
+                dg.white(g.n_in, g.n_out, phase_value(g.phase)),
+                dg.ten(*[_had_zw()] * g.n_out),
+            )
             comp = Cyclo(1)
             for _ in range(g.arity):
                 comp = comp * INV_SQRT2

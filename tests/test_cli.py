@@ -412,6 +412,23 @@ def test_translate_and_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
+@pytest.mark.parametrize("param", ["1e3+1i", "1e6+1i", "1e10+1i", "1e17+1i", "1e20+1i"])
+def test_float_round_trip_is_compared_at_the_matrix_scale(tmp_path, capsys, param):
+    # the round trip is right to about 2e-15 of the largest entry; at 1e17
+    # the unit entries come back as 8.82, so only a tolerance scaled by the
+    # whole matrix, not entry by entry, passes them
+    f = write(tmp_path, "tri.zx", f"(tri {param})\n")
+    assert main(["roundtrip", f]) == 0
+    assert capsys.readouterr().out == "PASS  [float]\n"
+
+
+def test_float_round_trip_off_by_a_relative_1e6_fails(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, "tri.zx", "(tri 1e6+1i)\n")
+    monkeypatch.setattr(cli.tr, "round_trip", lambda d: parse("(tri 1000001+1.000001i)"))
+    assert main(["roundtrip", f]) == 1
+    assert capsys.readouterr().out == "FAIL: round trip changed the semantics\n"
+
+
 def test_check_proof_pass_fail_and_garbage(tmp_path, capsys):
     assert main(["check-proof", "proofs/pi-commutation.zxp"]) == 0
     assert main(["check-proof", "proofs/w-unit.zwp"]) == 0

@@ -142,6 +142,26 @@ def test_laurent_zero_on_grid_iff_zero_mod_z8(p):
     assert (p - p).is_zero() and (p - p) == 0 and (p == 0) == p.is_zero()
 
 
+@given(laurents(), st.one_of(cyclos(), st.integers(-9, 9)), st.tuples(*[st.integers(0, 7)] * 2))
+def test_laurent_takes_a_bare_coefficient_on_either_side(p, c, rs):
+    def at(x):  # the zero polynomial plus a constant is the bare constant
+        return x.at_omega(rs) if isinstance(x, Laurent) else x
+
+    assert at(p + c) == at(c + p) == p.at_omega(rs) + c
+    assert at(p - c) == p.at_omega(rs) - c
+    assert at(c - p) == c - p.at_omega(rs)
+
+
+def test_laurent_with_a_bare_complex_and_the_empty_polynomial():
+    p = Laurent({(1, 0): 2 + 0j, (0, 0): 1j})
+    assert (p + 3j).terms == (3j + p).terms == {(1, 0): 2 + 0j, (0, 0): 4j}
+    assert (p - 1j).terms == {(1, 0): 2 + 0j}
+    assert (1j - p).terms == {(1, 0): -2 + 0j}
+    empty = Laurent({})
+    assert empty + ONE == ONE + empty == ONE and empty - 2j == -2j and 2j - empty == 2j
+    assert (empty + 0) == 0 and (p - p + SQRT2) == SQRT2
+
+
 def test_laurent_off_by_z8_vanishes_on_grid_only():
     p = Laurent({(8, 0): ONE}) - Laurent({(0, 0): ONE})  # z^8 - 1
     assert not p.is_zero() and p.mod_z8().is_zero()

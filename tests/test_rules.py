@@ -117,6 +117,33 @@ def test_corrupted_rules_all_fail_with_counterexamples():
             assert fail["lhs_matrix"] != fail["rhs_matrix"]
 
 
+# each control's rule, and the sides (0 = lhs, 1 = rhs) that it keeps
+CONTROL_RULES = {
+    "SUP~bad": (ru.RULE_SUP, (1,)),
+    "K~bad": (ru.RULE_K, (0,)),
+    "B~bad": (ru.RULE_B, (0,)),
+    "EU~bad": (ru.RULE_EU, (0,)),
+    "S~bad": (ru.RULE_S, (0,)),
+    "TA~bad": (ru.RULE_TA, (0,)),
+    "4a~bad": (ru.axiom_set("zw").rule("4a"), (0,)),
+    "half~bad": (ru.RULE_HALF, (1,)),
+    "cross~bad": (ru.axiom_set("zw").rule("0a"), ()),
+    "C~bad": (ru.RULE_C, ()),
+}
+
+
+@pytest.mark.parametrize("control", ru.corrupted_rules(), ids=lambda r: r.name)
+def test_each_control_keeps_its_rule_but_for_the_sides_it_breaks(control):
+    rule, kept = CONTROL_RULES[control.name]
+    assert (control.grid, control.sample, control.variants) == (
+        rule.grid, rule.sample, rule.variants)
+    assert control.domain == rule.domain + " (deliberately broken)"
+    binding = ru._bindings_for(rule, 1, 1, random.Random(control.name))[0]
+    got, want = control.build(binding), rule.build(binding)
+    for side in (0, 1):
+        assert (got[side] == want[side]) == (side in kept), side
+
+
 def test_failure_record_carries_both_matrices():
     bad = ru.corrupted_rules()[8]  # the crossing-vs-swap mutation
     rep = ru.verify_rule(bad, budget=4, samples=4, seed=0)

@@ -624,6 +624,29 @@ def test_negative_sample_count_is_refused():
     assert eq_linear(family, family, samples=0).equal
 
 
+@pytest.mark.parametrize("tag", ["zx", "zxt", "zw"])
+def test_variable_free_difference_is_the_interp_difference(tag):
+    # the rule verifier decides a lone binding by this difference, so it
+    # must give eq_semantic's verdict, exact and float, and interp's entries
+    rng = random.Random(25)
+    verdicts = Counter()
+    for _ in range(80):
+        n_in, n_out = rng.randrange(3), rng.randrange(3)
+        d1 = random_diagram(rng, n_in, n_out, tag=tag)
+        d2 = rng.choice([shuffled_copy(d1, rng), random_diagram(rng, n_in, n_out, tag=tag)])
+        off1 = _float_constants(d1, rng)
+        off2 = rng.choice([shuffled_copy(off1, rng), _float_constants(d2, rng)])
+        for a, b, mode in ((d1, d2, EXACT), (d1, d2, FLOAT), (off1, off2, FLOAT)):
+            diff, grid = semantics.laurent_difference(a, b, [], mode is EXACT)
+            m1, m2 = interp(a, mode), interp(b, mode)
+            want = [m1[k] - m2[k] for k in m1.entries.keys() | m2.entries.keys()]
+            assert Counter(e.terms[()] for e in diff) == Counter(v for v in want if v != 0)
+            equal = eq_semantic(a, b, mode)
+            assert semantics.vanishes_at(grid, [], FLOAT.tol) == equal
+            verdicts[mode is EXACT, equal] += 1
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 4, verdicts
+
+
 # -- pinned engine outputs -------------------------------------------------------------
 # Exact results only: the last bits of float entries follow the platform's libm.
 
