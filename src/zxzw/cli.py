@@ -221,8 +221,9 @@ def _cmd_check_proof(args) -> int:
         note = f" [{sampled} steps checked by sampling: evidence, not proof]" if sampled else ""
         print(f"proof {result.name} ({result.axiom_set}, {result.n_steps} steps): "
               f"{'PASS' if result.ok else 'FAIL'}{note}")
-        for f in result.failures:
-            print(f"  step {f['step']} -> {f['step'] + 1}: {f['reason']}")
+        for f in result.failures:  # a step of another calculus, or a transition
+            at = f"step {f['step']}" if "tag" in f else f"step {f['step']} -> {f['step'] + 1}"
+            print(f"  {at}: {f['reason']}")
     return 0 if result.ok else 1
 
 

@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .phases import Phase, PhaseLike
-from .rings import Cyclo
+from .rings import Cyclo, Laurent
 
 
 class DiagramError(Exception):
@@ -87,11 +87,13 @@ _TAG_KINDS = {
 # ports of a zw crossing in cyclic (clockwise) order: in0, in1, out1, out0
 CROSS_CYCLE = (0, 1, 3, 2)
 
-Param = Union[Cyclo, complex]
+Param = Union[Cyclo, complex, Laurent]
 
 
 def _coerce_param(p) -> Param:
-    if isinstance(p, Cyclo):
+    """A parameter in the ring where it fits, else a complex; a `Laurent`
+    polynomial in ring parameters passes through."""
+    if isinstance(p, (Cyclo, Laurent)):
         return p
     if isinstance(p, int):
         return Cyclo(p)

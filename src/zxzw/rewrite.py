@@ -486,15 +486,22 @@ def parse_proof(text: str) -> ProofScript:
 
 
 def check_proof(script: ProofScript, seed: int = 0) -> ProofResult:
-    """Semantic check of a proof: consecutive steps must be equal (exact
-    arithmetic whenever possible) and cited rules must be in the declared
-    axiom set.  Each transition is one `eq_linear` call with `seed`.  A
-    transition with free phase variables that passes without a proof for
-    every phase is evidence rather than proof, and is counted in
-    `sampled_steps`; a refuted one comes with a falsifying valuation."""
+    """Semantic check of a proof: every step must be a diagram of the
+    declared axiom set's calculus, consecutive steps must be equal (exact
+    arithmetic whenever possible) and cited rules must be in that set.  A
+    step of another calculus fails with its index and `tag`.  Each
+    transition is one `eq_linear` call with `seed`.  A transition with
+    free phase variables that passes without a proof for every phase is
+    evidence rather than proof, and is counted in `sampled_steps`; a
+    refuted one comes with a falsifying valuation."""
     axioms = _rules.axiom_set(script.axiom_set)
     known = {r.name for r in axioms}
-    failures = []
+    failures = [
+        {"step": k, "tag": d.tag,
+         "reason": f"a {d.tag} diagram, which set {script.axiom_set!r} cannot hold"}
+        for k, d in enumerate(script.steps)
+        if d.tag is not None and d.tag not in axioms.tags
+    ]
     sampled = 0
     for k, cited in enumerate(script.citations):
         for c in cited:

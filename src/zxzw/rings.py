@@ -5,10 +5,12 @@ pi/4 lives in the ring D[omega] = Z[1/2][omega] with omega^4 = -1.  The classes
 here implement that ring with arbitrary-precision integers, plus the embedding
 into complex floats.  1/sqrt(2) is (omega - omega^3)/2.
 
-`Laurent` extends the ring for diagrams whose phases carry variables: a
-Laurent polynomial in z_v = e^{iv}, with coefficients in the ring or, when
-some constant is not in it, in complex floats.  It mixes with bare ring
-elements, so only a phase with a variable becomes a polynomial.
+`Laurent` extends the ring for diagrams whose phases or node parameters
+carry variables: a Laurent polynomial in z_v = e^{iv} for a phase variable
+v, and a polynomial in r for a ring parameter r, with coefficients in the
+ring or, when some constant is not in it, in complex floats.  It mixes
+with bare ring elements, so only a phase or parameter with a variable
+becomes a polynomial.
 """
 
 from __future__ import annotations
@@ -202,11 +204,14 @@ class Laurent:
     """A Laurent polynomial sum_n c_n z^n in commuting variables z_1..z_k.
 
     `terms` maps integer exponent tuples (one slot per variable) to nonzero
-    coefficients, all exact (Cyclo or int) or all complex (float).  `+`,
-    `-` and `*` also take a bare coefficient on either side; as the zero
-    polynomial has no slots, it plus a constant is the bare constant.
-    Comparison with 0 is `is_zero`, so the module-level `is_zero` needs no
-    case for this type.
+    coefficients, all exact (Cyclo or int) or all complex (float).  A slot
+    is a phase variable, z_v = e^{iv}, or a ring parameter, whose exponents
+    are non-negative.  `+`, `-` and `*` also take a bare coefficient on
+    either side; as the zero polynomial has no slots, it plus a constant
+    is the bare constant.  Comparison with 0 is `is_zero`, so the
+    module-level `is_zero` needs no case for this type, and the hash is
+    that of the terms (0's for the zero polynomial), so a generator that
+    holds one hashes.
     """
 
     __slots__ = ("terms",)
@@ -254,17 +259,21 @@ class Laurent:
             return self.is_zero()
         return NotImplemented
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(frozenset(self.terms.items())) if self.terms else 0
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def mod_z8(self) -> "Laurent":
-        """The remainder mod z_v^8 - 1 for every v: exponents taken mod 8.
-        It is zero exactly when the polynomial vanishes at every z_v = omega^r."""
+    def mod_z8(self, k=None) -> "Laurent":
+        """The remainder mod z_v^8 - 1 for each of the first `k` slots (all
+        by default), the phase variables: their exponents taken mod 8, the
+        later slots, ring parameters, kept.  It is zero exactly when the
+        polynomial vanishes at every z_v = omega^r of those slots."""
         out: dict = {}
         for n, c in self.terms.items():
-            n = tuple(x % 8 for x in n)
+            cut = len(n) if k is None else k
+            n = tuple(x % 8 for x in n[:cut]) + n[cut:]
             out[n] = out[n] + c if n in out else c
         return Laurent(out)
 
@@ -277,11 +286,15 @@ class Laurent:
             value = value + c * (_OMEGA_FLOATS if isinstance(c, complex) else _OMEGA_POWERS)[k]
         return value
 
-    def at_angles(self, thetas) -> complex:
-        """The complex value at z_v = e^{i theta_v}."""
+    def at(self, values) -> complex:
+        """The complex value at z_v = values[v]: e^{i theta_v} for a phase
+        variable, any complex number for a ring parameter."""
         acc = 0j
         for n, c in self.terms.items():
-            acc += complex(c) * cmath.exp(1j * sum(a * t for a, t in zip(n, thetas)))
+            term = complex(c)
+            for a, x in zip(n, values):
+                term *= x**a
+            acc += term
         return acc
 
     def __repr__(self):

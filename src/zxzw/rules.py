@@ -3,18 +3,22 @@
 Each rule is stored as a builder that turns a variable binding into a
 concrete (lhs, rhs) diagram pair.  Rules whose variables live on the pi/4
 grid are checked exhaustively in exact arithmetic (up to a per-rule budget);
-rules with continuous parameters are checked on sampled bindings in float
-arithmetic.  The verifier doubles as the transcription oracle: a rule enters
-a set only if every checked instance is sound.
+rules with continuous parameters are checked on sampled bindings.  The
+verifier doubles as the transcription oracle: a rule enters a set only if
+every checked instance is sound.
 
 Every binding is decided by one contraction of the difference of its
-sides (`semantics.laurent_difference`).  A grid rule's bindings that
-differ only in their `GRID8` phases are decided together: the pair is
-built once with a phase variable for each such name, the difference is a
-Laurent polynomial in z = e^{i phase}, and each binding is decided exactly
-at its grid point.  A binding with no such partner is contracted by the
-same difference, without variables, in the exact or float ring that
-`interp` uses.
+sides (`semantics.laurent_difference`).  Bindings that differ only in
+their `GRID8` phases, or only in their complex-valued ring parameters (r
+and s of TA and the zw rules), are decided together: the pair is built
+once with a variable for each such name, a phase variable or a `Laurent`
+monomial in the parameter, and the difference is contracted exactly, as
+a polynomial in z = e^{i phase} or in r and s, when the pair's other
+constants are in the ring, as they are in every such rule here.  Each
+binding is then decided at its point: exactly at its grid point, within
+`tol` at its sampled parameter values.  A binding with no such partner is
+contracted by the same difference, without variables, in the exact or
+float ring that `interp` uses.
 
 Sets:
 
@@ -39,8 +43,8 @@ from . import diagrams as dg
 from . import gadgets as gad
 from .diagrams import Diagram
 from .phases import Phase
-from .rings import Cyclo
-from .semantics import FLOAT, check_tol, interp, laurent_difference, vanishes_at
+from .rings import Cyclo, Laurent
+from .semantics import FLOAT, check_tol, constants_exact, interp, laurent_difference, vanishes_at
 
 F = Fraction
 
@@ -638,8 +642,12 @@ RULE_HALF = Rule(
 
 @dataclass(frozen=True)
 class AxiomSet:
+    """A named tuple of rules, and the tags of the diagrams that it holds
+    (the empty diagram, which has no tag, fits every set)."""
+
     name: str
     rules: tuple
+    tags: tuple
 
     def __iter__(self):
         return iter(self.rules)
@@ -657,12 +665,12 @@ _PI4A = _PI4 + (RULE_A,)
 _ZXT = tuple(r for r in _PI4A if r.name not in ("C", "BW")) + (RULE_TD, RULE_TA)
 
 AXIOM_SETS = {
-    "zx-pi2": AxiomSet("zx-pi2", _PI2),
-    "zx-pi4": AxiomSet("zx-pi4", _PI4),
-    "zx-pi4a": AxiomSet("zx-pi4a", _PI4A),
-    "zx-t": AxiomSet("zx-t", _ZXT),
-    "zw": AxiomSet("zw", ZW_RULES),
-    "zw-half": AxiomSet("zw-half", ZW_RULES + (RULE_HALF,)),
+    "zx-pi2": AxiomSet("zx-pi2", _PI2, ("zx",)),
+    "zx-pi4": AxiomSet("zx-pi4", _PI4, ("zx",)),
+    "zx-pi4a": AxiomSet("zx-pi4a", _PI4A, ("zx",)),
+    "zx-t": AxiomSet("zx-t", _ZXT, ("zx", "zxt")),
+    "zw": AxiomSet("zw", ZW_RULES, ("zw",)),
+    "zw-half": AxiomSet("zw-half", ZW_RULES + (RULE_HALF,), ("zw",)),
 }
 
 
@@ -752,21 +760,29 @@ def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
     return bindings
 
 
-def _decide_group(rule: Rule, group: list, phases: list, variants: tuple, tol: float) -> dict:
+def _decide_group(rule: Rule, group: list, names: list, variants: tuple, tol: float) -> dict:
     """The verdicts per variant of each binding in `group`, which agree on
-    every name but the `GRID8` names in `phases`: one build, one
+    every name but those in `names`: the `GRID8` phases of a grid rule, the
+    complex-valued ring parameters of a sampled one.  One build, one
     contraction of the difference per variant, and each binding decided at
-    its grid point z = omega^(4 * value).  Two or more bindings are built
-    with a phase variable per name; a lone one is built as it is, and its
-    difference has no variables."""
-    names = phases if len(group) > 1 else []
-    pair = rule.build({**group[0], **{name: Phase.var(name) for name in names}})
-    points = [[int(4 * b[name]) for name in names] for b in group]
+    its point: z = omega^(4 * value) for a phase, the sampled value for a
+    parameter.  Two or more bindings are built with a variable per name (a
+    phase variable, or a `Laurent` monomial in the parameter), and the
+    difference is exact when the pair's other constants are in the ring; a
+    lone binding is built as it is, and its difference has no variables."""
+    names = names if len(group) > 1 else []
+    phases, params = (names, []) if rule.exact else ([], names)
+    variables = {name: Phase.var(name) for name in phases}
+    for i, name in enumerate(params):
+        variables[name] = Laurent({tuple(int(j == i) for j in range(len(params))): 1})
+    pair = rule.build({**group[0], **variables})
+    exact = all(constants_exact(d) for d in pair)
+    points = [[int(4 * b[n]) for n in phases] + [b[n] for n in params] for b in group]
     verdicts = [[] for _ in group]
     for v in variants:
-        _, grid = laurent_difference(*_sides(rule, pair, v), names, rule.exact)
-        for out, rs in zip(verdicts, points):
-            out.append(vanishes_at(grid, rs, tol))
+        _, grid = laurent_difference(*_sides(rule, pair, v), phases, exact, params)
+        for out, point in zip(verdicts, points):
+            out.append(vanishes_at(grid, point, tol))
     return {id(b): out for b, out in zip(group, verdicts)}
 
 
@@ -780,28 +796,32 @@ def verify_rule(
     """Check one rule over its grid or sampled bindings, plus all variants.
 
     Every binding is decided by `_decide_group`: those that agree on all
-    but their `GRID8` phases together, a lone one on its own; the report
-    is that of checking every instance with `interp`."""
+    but their `GRID8` phases, or on all but their complex-valued ring
+    parameters, together; a lone one on its own.  The report is that of
+    checking every instance with `interp`."""
     if budget < 0 or samples < 0:
         raise RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
     check_tol(tol)  # a meaningless tolerance is refused for exact rules too
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = _bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)
-    phases = [name for name, values in rule.grid if values is GRID8]
+    if rule.exact:
+        names = [name for name, values in rule.grid if values is GRID8]
+    else:  # a sampler draws each name's value with one type
+        names = [k for k, v in (bindings[0] if bindings else {}).items() if isinstance(v, complex)]
 
-    def arities(b):
-        return tuple(v for k, v in b.items() if k not in phases)
+    def others(b):
+        return tuple(v for k, v in b.items() if k not in names)
 
     groups: dict = {}
     for b in bindings:
-        groups.setdefault(arities(b), []).append(b)
+        groups.setdefault(others(b), []).append(b)
     decided: dict = {}  # id(binding) -> its verdicts
     checked = failed = 0
     failures = []
     for b in bindings:
         if id(b) not in decided:
-            decided.update(_decide_group(rule, groups[arities(b)], phases, variants, tol))
+            decided.update(_decide_group(rule, groups[others(b)], names, variants, tol))
         for v, ok in zip(variants, decided[id(b)]):
             checked += 1
             if ok:

@@ -29,11 +29,12 @@ nonzero entries do.  Within one call each generator object's tensor is
 built once and shared by every node that holds it.
 
 The same contraction runs over the ring extended by Laurent polynomials in
-z_v = e^{iv}: a phase with variables enters as a monomial, every other
-entry as a ring element.  So `eq_linear` interprets each side once and
-decides every valuation from the difference; when all constants are
-exact, an identically zero difference proves equality for every phase.
-The rule verifier decides every binding by that difference.
+z_v = e^{iv}: a phase with variables enters as a monomial, a node
+parameter that is a `Laurent` polynomial in ring parameters as it is,
+and every other entry as a ring element.  So `eq_linear` interprets each
+side once and decides every valuation from the difference; when all
+constants are exact, an identically zero difference proves equality for
+every phase.  The rule verifier decides every binding by that difference.
 """
 
 from __future__ import annotations
@@ -95,19 +96,26 @@ FLOAT = Float()
 def exact_eligible(d: Diagram) -> bool:
     """True when every phase is a closed multiple of pi/4 and every
     parameter lies in the ring."""
-    return not d.free_variables() and _constants_exact(d)
+    return not d.free_variables() and constants_exact(d)
 
 
-def _constants_exact(d: Diagram) -> bool:
+def constants_exact(d: Diagram) -> bool:
     """True when the constant part of every phase is a multiple of pi/4 and
     every parameter lies in the ring: then every valuation on the pi/4 grid
     is exact-eligible."""
     for g in d.nodes:
         if g.phase is not None and not (g.phase.is_exact and (g.phase.const * 4).denominator == 1):
             return False
-        if g.param is not None and not isinstance(g.param, (int, Cyclo)):
+        if g.param is not None and not _in_ring(g.param):
             return False
     return True
+
+
+def _in_ring(param) -> bool:
+    """True for a ring element, or a `Laurent` parameter with ring coefficients."""
+    if isinstance(param, Laurent):
+        return all(isinstance(c, (int, Cyclo)) for c in param.terms.values())
+    return isinstance(param, (int, Cyclo))
 
 
 def best_mode(*ds: Diagram, tol: float = 1e-9) -> InterpMode:
@@ -142,9 +150,11 @@ def _phase_factor(phase, exact: bool, slot: Mapping[str, int]):
 
 def _param_value(param, exact: bool):
     if exact:
-        if not isinstance(param, Cyclo):
+        if not _in_ring(param):
             raise SemanticsError(f"parameter {param!r} is outside Z[1/2][omega]")
         return param
+    if isinstance(param, Laurent):
+        return Laurent({n: complex(c) for n, c in param.terms.items()})
     return complex(param)
 
 
@@ -449,7 +459,7 @@ def eq_linear(
         combos = range(total)
     else:
         combos = sorted(rng.sample(range(total), 4096))
-    exact = _constants_exact(d1) and _constants_exact(d2)
+    exact = constants_exact(d1) and constants_exact(d2)
     diff, grid = laurent_difference(d1, d2, names, exact)
     proved = exact and not diff
     # in exact mode an empty `grid` decides the whole grid at once; the
@@ -463,36 +473,45 @@ def eq_linear(
     for _ in range(samples):
         val = {v: rng.uniform(0.0, 2.0 * cmath.pi) for v in names}
         checked += 1
-        thetas = [val[v] for v in names]
-        if not all(abs(e.at_angles(thetas)) <= tol for e in diff):
+        if diff and not vanishes_at(diff, [cmath.exp(1j * val[v]) for v in names], tol):
             return LinearEqResult(False, dict(val), checked)
     return LinearEqResult(True, None, checked, proved)
 
 
-def vanishes_at(grid: list, rs: list, tol: float) -> bool:
-    """True when every polynomial of `grid` is zero at z_v = omega^{r_v}:
-    exactly for ring coefficients, within `tol` for float ones."""
-    values = (e.at_omega(rs) for e in grid)
+def vanishes_at(grid: list, point: list, tol: float) -> bool:
+    """True when every polynomial of `grid` is zero at `point`.  A point
+    of ints r_v is z_v = omega^{r_v}, decided exactly for ring coefficients
+    and within `tol` for float ones; a point of complex values z_v (e^{iv}
+    for a phase variable, the value of a ring parameter) within `tol`."""
+    if all(x.__class__ is int for x in point):
+        values = (e.at_omega(point) for e in grid)
+    else:
+        values = (e.at(point) for e in grid)
     return all(x.is_zero() if isinstance(x, Cyclo) else abs(x) <= tol for x in values)
 
 
-def laurent_difference(d1: Diagram, d2: Diagram, names: list, exact: bool) -> tuple:
+def laurent_difference(
+    d1: Diagram, d2: Diagram, names: list, exact: bool, params: tuple = ()
+) -> tuple:
     """The nonzero entries of `d1` minus `d2`, exact or float, as Laurent
-    polynomials in z_v = e^{iv} with one exponent slot per name, and the
-    entries that stay nonzero on the pi/4 grid.  Each side is contracted
-    once, in `interp`'s ring extended by the phases with variables, and an
+    polynomials in z_v = e^{iv} with one exponent slot per phase variable
+    in `names`, then one per ring parameter in `params`, the slots of the
+    diagrams' `Laurent` node parameters; and the entries that stay
+    nonzero on the pi/4 grid.  Each side is contracted once, in `interp`'s
+    ring extended by the phases and parameters with variables, and an
     entry with no variable becomes a constant polynomial; with no names
-    the first list is `interp`'s entrywise difference.
+    and no parameters the first list is `interp`'s entrywise difference.
 
     In exact mode the second list holds the entries that are nonzero mod
-    z_v^8 - 1: as the 8-point DFT over Z[1/2][omega] is invertible, an
-    entry vanishes at every z_v = omega^r exactly when that remainder is
-    zero.  In float mode it is the first list."""
-    slot = {v: i for i, v in enumerate(names)}
+    z_v^8 - 1 in the phase slots: as the 8-point DFT over Z[1/2][omega] is
+    invertible, an entry vanishes at every z_v = omega^r exactly when that
+    remainder is zero.  A parameter slot is never reduced.  In float mode
+    the second list is the first."""
+    slot = {v: i for i, v in enumerate([*names, *params])}
     m1, m2 = (_contract_diagram(d, exact, slot) for d in (d1, d2))
-    base = (0,) * len(names)
+    base = (0,) * len(slot)
     diff = (m1.get(k, 0) - m2.get(k, 0) for k in m1.keys() | m2.keys())
     diff = [e if isinstance(e, Laurent) else Laurent({base: e}) for e in diff]
     diff = [e for e in diff if not e.is_zero()]
-    grid = [e for e in (e.mod_z8() for e in diff) if not e.is_zero()] if exact else diff
+    grid = [e for e in (e.mod_z8(len(names)) for e in diff) if not e.is_zero()] if exact else diff
     return diff, grid

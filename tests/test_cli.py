@@ -443,6 +443,20 @@ def test_check_proof_pass_fail_and_garbage(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_proof_refuses_steps_of_another_calculus(tmp_path, capsys):
+    # two equal zx steps, citing a zw rule, under a zw set
+    f = write(tmp_path, "v.zwp", "proof v\nset zw\n(Z 1 1 0)\nby 1a\n(Z 1 1 0)\n")
+    assert main(["check-proof", f]) == 1
+    assert capsys.readouterr().out == (
+        "proof v (zw, 2 steps): FAIL\n"
+        "  step 0: a zx diagram, which set 'zw' cannot hold\n"
+        "  step 1: a zx diagram, which set 'zw' cannot hold\n"
+    )
+    assert main(["check-proof", f, "--json"]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert [(x["step"], x["tag"]) for x in failures] == [(0, "zx"), (1, "zx")]
+
+
 def test_check_proof_json(tmp_path, capsys):
     assert main(["check-proof", "proofs/w-unit.zwp", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -627,6 +627,31 @@ def test_citation_outside_set_fails():
     assert "IV" in res.failures[0]["reason"]
 
 
+@pytest.mark.parametrize(
+    "set_name, steps, bad",
+    [
+        ("zw", ["(Z 1 1 0)", "(Z 1 1 0)"], [(0, "zx"), (1, "zx")]),
+        ("zw-half", ["(seq (W 1 1) (W 1 1))", "(Z 1 1 0)"], [(1, "zx")]),
+        ("zx-pi2", ["(seq (W 1 1) (W 1 1) (W 1 1))", "(W 1 1)"], [(0, "zw"), (1, "zw")]),
+        ("zx-pi4", ["(tri 2)", "(tri 2)"], [(0, "zxt"), (1, "zxt")]),
+        ("zx-t", ["(seq (tri 1) (tri 1))", "(tri 2)"], []),
+        ("zx-t", ["(Z 1 1 0)", "id"], []),
+        ("zw-half", ["(ten half (seq cap cup))", "empty"], []),
+        ("zx-pi4", ["(seq (Z 0 1 pi/4) (X 1 0 7*pi/4))", "empty"], []),
+    ],
+)
+def test_proof_steps_must_be_diagrams_of_the_sets_calculus(set_name, steps, bad):
+    # every step is equal to the next and cites a rule of the set, so only
+    # the calculus can fail
+    cite = f"\nby {rw._rules.axiom_set(set_name).rules[0].name}\n"
+    text = f"proof c\nset {set_name}\n" + cite.join(steps)
+    res = rw.check_proof(rw.parse_proof(text))
+    assert [(f["step"], f["tag"]) for f in res.failures] == bad
+    assert res.ok == (not bad)
+    assert all(f["reason"] == f"a {t} diagram, which set {set_name!r} cannot hold"
+               for f, (_, t) in zip(res.failures, bad))
+
+
 def test_malformed_scripts_raise():
     with pytest.raises(rw.ProofError):
         rw.parse_proof("set zx-pi2\n(Z 1 1 pi)\n")

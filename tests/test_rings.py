@@ -129,10 +129,10 @@ def test_laurent_ring_laws_at_grid_points(p, q, rs):
     assert (p - q).at_omega(rs) == p.at_omega(rs) - q.at_omega(rs)
     assert (p * SQRT2).at_omega(rs) == (SQRT2 * p).at_omega(rs) == p.at_omega(rs) * SQRT2
     assert p.mod_z8().at_omega(rs) == p.at_omega(rs)
-    theta = [r * math.pi / 4 for r in rs]
+    z = [cmath.exp(1j * r * math.pi / 4) for r in rs]
     value = p.at_omega(rs)  # the int 0 for the zero polynomial
     value = as_complex(value) if isinstance(value, Cyclo) else value
-    assert cmath.isclose(p.at_angles(theta), value, abs_tol=1e-9)
+    assert cmath.isclose(p.at(z), value, abs_tol=1e-9)
 
 
 @given(laurents())
@@ -165,7 +165,7 @@ def test_laurent_with_a_bare_complex_and_the_empty_polynomial():
 def test_laurent_off_by_z8_vanishes_on_grid_only():
     p = Laurent({(8, 0): ONE}) - Laurent({(0, 0): ONE})  # z^8 - 1
     assert not p.is_zero() and p.mod_z8().is_zero()
-    assert abs(p.at_angles([0.3, 0.0])) > 0.1
+    assert abs(p.at([cmath.exp(0.3j), 1])) > 0.1
 
 
 def _halved(a, b, c, d, e):

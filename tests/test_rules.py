@@ -12,6 +12,7 @@ from helpers import reference_verify_rule
 from zxzw import rules as ru
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
+from zxzw.rings import Laurent
 from zxzw import semantics
 from zxzw.semantics import EXACT, FLOAT, interp
 
@@ -22,6 +23,16 @@ SET_NAMES = ("zx-pi2", "zx-pi4", "zx-pi4a", "zx-t", "zw", "zw-half")
 # every rule of the six sets once, then the ten corrupted controls
 RULES_AND_CONTROLS = list({id(r): r for name in SET_NAMES for r in ru.axiom_set(name)}.values())
 RULES_AND_CONTROLS += ru.corrupted_rules()
+
+
+def ring_parameters(rule):
+    """The names that a sampled rule's bindings give complex values."""
+    if rule.sample is None:
+        return []
+    return [k for k, v in rule.sample(random.Random(0)).items() if isinstance(v, complex)]
+
+
+RING_PARAMETER_RULES = [r for r in RULES_AND_CONTROLS if ring_parameters(r)]
 
 
 def test_set_compositions():
@@ -203,3 +214,46 @@ def test_builders_are_natural_in_their_phases(rule):
                 sides = ru._sides(rule, pair, variant)
                 got = tuple(d.substitute(point) for d in sides)
                 assert got == ru.instantiate(rule, {**b, **point}, variant), (b, point, variant)
+
+
+def test_the_ring_parameter_rules():
+    assert [r.name for r in RING_PARAMETER_RULES] == [
+        "TA", "0c", "1b", "1c", "4a", "4b", "5", "6c", "TA~bad", "4a~bad"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grouped_verifier_matches_the_reference_on_groups_of_24(seed):
+    # 24 sampled bindings a rule, decided as one group (1c: a group per set of arities)
+    for rule in RING_PARAMETER_RULES:
+        got = ru.verify_rule(rule, 0, samples=24, seed=seed)
+        want = reference_verify_rule(rule, 0, samples=24, seed=seed)
+        assert (got.to_json(), got.failed) == (want.to_json(), want.failed), rule.name
+
+
+@pytest.mark.parametrize("rule", RING_PARAMETER_RULES, ids=lambda r: r.name)
+def test_builders_are_natural_in_their_ring_parameters(rule):
+    # the symbolic check rests on this: each side built with a variable per
+    # ring parameter, contracted once (exactly, and in float) and evaluated
+    # at a sampled binding, is the float interpretation of the concrete
+    # build there
+    params = ring_parameters(rule)
+    slot = {name: i for i, name in enumerate(params)}
+    variables = {
+        name: Laurent({tuple(int(j == i) for j in range(len(params))): 1}) for name, i in slot.items()
+    }
+    rng = random.Random(rule.name)
+    for _ in range(6):
+        b = rule.sample(rng)
+        pair = rule.build({**b, **variables})
+        point = [b[name] for name in params]
+        for variant in ("base",) + rule.variants:
+            sides = ru._sides(rule, pair, variant)
+            for side, concrete in zip(sides, ru.instantiate(rule, b, variant)):
+                assert semantics.constants_exact(side)
+                want = interp(concrete, FLOAT).entries
+                for exact in (True, False):
+                    entries = semantics._contract_diagram(side, exact, slot)
+                    got = {k: e.at(point) if isinstance(e, Laurent) else complex(e)
+                           for k, e in entries.items()}
+                    for k in got.keys() | want.keys():
+                        assert abs(got.get(k, 0) - want.get(k, 0)) <= 1e-9, (b, variant, exact, k)
