@@ -141,6 +141,44 @@ def test_eq_of_a_difference_too_large_for_a_float_is_one_line(tmp_path, capsys, 
     assert len(interpreted) == 2
 
 
+def test_eq_prints_the_exact_difference_of_large_entries(tmp_path, capsys):
+    # 2^60 + 1 and 2^60 round to one float, but their difference is 1
+    a = write(tmp_path, "a.zw", "(wz 0 0 1152921504606846977)\n")
+    b = write(tmp_path, "b.zw", "(wz 0 0 1152921504606846976)\n")
+    assert main(["eq", a, b]) == 1
+    assert capsys.readouterr().out == "not equal (max entry difference 1)\n"
+
+
+def test_eq_of_a_family_with_a_difference_beyond_a_float_is_refuted(tmp_path, capsys):
+    # the modulus of 1.7e308 + 1.7e308i is beyond a float: the family is
+    # refuted at its first valuation, as its ground pair is refuted
+    big = write(tmp_path, "big.zx", "(seq (Z 1 1 a) (tri 1.7e308+1.7e308i))\n")
+    zero = write(tmp_path, "zero.zx", "(seq (Z 1 1 a) (tri 0))\n")
+    assert main(["eq", big, zero]) == 1
+    assert capsys.readouterr() == ('not equal; witness valuation: {"a": "0"}\n', "")
+    big = write(tmp_path, "big1.zx", "(tri 1.7e308+1.7e308i)\n")
+    zero = write(tmp_path, "zero1.zx", "(tri 0)\n")
+    assert main(["eq", big, zero]) == 1
+    assert capsys.readouterr() == ("not equal (max entry difference inf)\n", "")
+
+
+def test_mode_flags_decide_a_family_as_they_decide_a_ground_pair(tmp_path, capsys):
+    # --float decides in float, so nothing is proved; --exact proves an
+    # exact family, and refuses a float constant in one line
+    fam = write(tmp_path, "f1.zx", "(Z 1 1 a)\n")
+    same = write(tmp_path, "f2.zx", "(seq (Z 1 1 a) (Z 1 1 0))\n")
+    off = write(tmp_path, "f3.zx", "(seq (Z 1 1 a) (Z 1 1 0.3))\n")
+    flags = ["--samples", "20", "--seed", "5"]
+    assert main(["eq", fam, same, "--float", *flags]) == 0
+    assert capsys.readouterr() == ("equal on 28 valuations\n", "")
+    assert main(["eq", fam, same, "--exact", *flags]) == 0
+    assert capsys.readouterr() == ("equal on 28 valuations (proved for every phase)\n", "")
+    assert main(["eq", off, fam, "--exact", *flags]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --exact needs pi/4-grid phases and exact parameters\n"
+    )
+
+
 def test_eval_json_of_wide_zero_matrix_stays_exact(tmp_path, capsys):
     f = write(tmp_path, "zero.zx", "(ten (Z 0 0 pi) id id id id id id id)\n")
     assert main(["eval", f, "--json"]) == 0
