@@ -22,8 +22,8 @@ from .dsl import DslError, parse, print_diagram
 from .matrices import Matrix
 from .rings import Cyclo
 from .semantics import (
-    EXACT, ArgumentError, Exact, Float, best_mode, check_count, check_tol, eq_linear,
-    exact_eligible, interp,
+    EXACT, FLOAT, ArgumentError, Exact, Float, best_mode, check_count, check_tol, constants_exact,
+    eq_linear, interp,
 )
 
 
@@ -109,11 +109,8 @@ def _entry_text(v) -> str:
 def _pick_mode(args, *ds, tol: float = 1e-9):
     approx = Float(tol)  # refuses a meaningless tolerance whichever mode is picked
     if getattr(args, "exact", False):
-        for d in ds:
-            if not exact_eligible(d):
-                raise InputError(
-                    "--exact needs pi/4-grid phases, exact parameters, and no free variables"
-                )
+        if not all(constants_exact(d) for d in ds):
+            raise InputError("--exact needs pi/4-grid phases and exact parameters")
         return EXACT
     if getattr(args, "float", False):
         return approx
@@ -152,22 +149,19 @@ def _cmd_eq(args) -> int:
     if d1.shape != d2.shape:
         print(f"not equal: shapes {d1.shape} vs {d2.shape} differ")
         return 1
-    if d1.free_variables() or d2.free_variables():
-        res = eq_linear(d1, d2, samples=args.samples, seed=args.seed, tol=args.tol)
-        if res.equal:
-            proof = " (proved for every phase)" if res.proved else ""
-            print(f"equal on {res.valuations_checked} valuations{proof}")
-            return 0
+    exact = isinstance(_pick_mode(args, d1, d2, tol=args.tol), Exact)
+    res = eq_linear(d1, d2, samples=args.samples, seed=args.seed, tol=args.tol, exact=exact)
+    family = d1.free_variables() or d2.free_variables()
+    if res.equal:
+        proof = " (proved for every phase)" if res.proved else ""
+        print(f"equal on {res.valuations_checked} valuations{proof}" if family else "equal")
+        return 0
+    if family:
         witness = {k: str(v) for k, v in sorted(res.witness.items())}
         print(f"not equal; witness valuation: {json.dumps(witness)}")
         return 1
-    mode = _pick_mode(args, d1, d2, tol=args.tol)
-    m1, m2 = interp(d1, mode), interp(d2, mode)
-    if m1 == m2 if isinstance(mode, Exact) else m1.close(m2, mode.tol):
-        print("equal")
-        return 0
-    try:  # an exact entry can outgrow a float
-        diff = f"{m1.max_abs_diff(m2):.3g}"
+    try:  # an exact difference can outgrow a float
+        diff = f"{res.largest_difference():.3g}"
     except OverflowError:
         diff = "too large for a float"
     print(f"not equal (max entry difference {diff})")
@@ -198,14 +192,13 @@ def _cmd_roundtrip(args) -> int:
     d = _load(args.file)
     back = tr.round_trip(d)
     mode = best_mode(d, back)
-    m, m_back = interp(d, mode), interp(back, mode)
-    if isinstance(mode, Exact):
-        same = m == m_back
-    else:  # float error grows with the entries: scale by the largest one
-        scale = max((math.hypot(v.real, v.imag) for v in m.entries.values()), default=0.0)
-        same = m.close(m_back, mode.tol * max(1.0, scale))
-    if same:
-        print(f"PASS  [{'exact' if isinstance(mode, Exact) else 'float'}]")
+    exact = isinstance(mode, Exact)
+    tol = FLOAT.tol
+    if not exact:  # float error grows with the entries: scale by the largest one
+        entries = interp(d, mode).entries.values()
+        tol *= max(1.0, max((math.hypot(v.real, v.imag) for v in entries), default=0.0))
+    if eq_linear(d, back, tol=tol, exact=exact).equal:
+        print(f"PASS  [{'exact' if exact else 'float'}]")
         return 0
     print("FAIL: round trip changed the semantics")
     return 1

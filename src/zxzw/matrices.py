@@ -6,7 +6,9 @@ column index input bit-strings.  A `Matrix` keeps only its nonzero entries,
 keyed by (row, column), and the scalar ring's zero stands for every other
 one, so the storage grows with the nonzeros and not with 2^(m+n).
 Exact-mode matrices hold Cyclo entries, float-mode matrices hold complex
-numbers; the two meet in `close`, which compares via the complex embedding.
+numbers.  `==` and `close` (which compares via the complex embedding) are
+test oracles: the library decides equality of diagrams in one place,
+`semantics.eq_linear`.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ from .rings import Cyclo, is_zero
 
 
 def _abs(z: complex) -> float:
-    """|z| by the C hypot, as numpy takes it.  `abs` raises OverflowError
-    where that is inf (and, with errno left over, on NaN), where
-    `math.hypot` does not."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.hypot(z.real, z.imag)
+    """|z| by `math.hypot`, as numpy takes it: inf beyond a float, where
+    `abs` raises OverflowError."""
+    return math.hypot(z.real, z.imag)
 
 
 class Matrix:
@@ -79,17 +77,15 @@ class Matrix:
         entries = {(j, i): v for (i, j), v in self.entries.items()}
         return Matrix(entries, self.cols, self.rows, self.zero)
 
-    # -- comparison --------------------------------------------------------
-
-    def _nonzero_keys(self, other: "Matrix"):
-        return self.entries.keys() | other.entries.keys()
+    # -- comparison: test oracles -------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             return False
-        return all(_entries_equal(self[k], other[k]) for k in self._nonzero_keys(other))
+        keys = self.entries.keys() | other.entries.keys()
+        return all(_entries_equal(self[k], other[k]) for k in keys)
 
     def close(self, other: "Matrix", tol: float = 1e-9) -> bool:
         """Entry-wise |a - b| <= tol, decided as np.allclose(self, other,
@@ -98,20 +94,11 @@ class Matrix:
         entry of `other` whose modulus is not finite unless equal to it."""
         if self.shape != other.shape:
             return False
-        for k in self._nonzero_keys(other):
+        for k in self.entries.keys() | other.entries.keys():
             a, b = complex(self[k]), complex(other[k])
             if not (a == b or (_abs(a - b) <= tol and _abs(b) < math.inf)):
                 return False
         return True
-
-    def max_abs_diff(self, other: "Matrix") -> float:
-        """The largest |a - b| over all entries: 0.0 for equal matrices,
-        NaN when some difference is NaN."""
-        diffs = [
-            _abs(complex(self[k]) - complex(other[k]))
-            for k in self._nonzero_keys(other)
-        ]
-        return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
     def __repr__(self):
         return f"Matrix[{self.rows}x{self.cols}]({len(self.entries)} nonzero)"

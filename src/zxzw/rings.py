@@ -278,12 +278,15 @@ class Laurent:
         return Laurent(out)
 
     def at_omega(self, rs):
-        """The value at z_v = omega^{r_v}: a Cyclo for exact coefficients,
-        a complex for float ones (the int 0 for the zero polynomial)."""
+        """The value at z_v = omega^{r_v}: a ring element for exact
+        coefficients, a complex for float ones (the int 0 for the zero
+        polynomial).  A term at omega^0 adds its coefficient unmultiplied,
+        so an infinite one stays infinite rather than NaN."""
         value = 0
         for n, c in self.terms.items():
             k = sum(a * r for a, r in zip(n, rs)) % 8
-            value = value + c * (_OMEGA_FLOATS if isinstance(c, complex) else _OMEGA_POWERS)[k]
+            w = (_OMEGA_FLOATS if isinstance(c, complex) else _OMEGA_POWERS)[k]
+            value = value + (c * w if k else c)
         return value
 
     def at(self, values) -> complex:

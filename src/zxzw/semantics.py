@@ -31,19 +31,22 @@ built once and shared by every node that holds it.
 The same contraction runs over the ring extended by Laurent polynomials in
 z_v = e^{iv}: a phase with variables enters as a monomial, a node
 parameter that is a `Laurent` polynomial in ring parameters as it is,
-and every other entry as a ring element.  So `eq_linear` interprets each
-side once and decides every valuation from the difference; when all
-constants are exact, an identically zero difference proves equality for
-every phase.  The rule verifier decides every binding by that difference.
+and every other entry as a ring element; `interp` is the one entry point.
+Equality has one decision, `eq_linear`: each side contracted once, their
+difference (`laurent_difference`) decided at each valuation by
+`vanishes_at`, so an identically zero exact difference proves equality for
+every phase.  `eq_semantic` and the command line read its verdict, and the
+rule verifier decides every binding by the same two functions.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
+import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, mul
@@ -93,12 +96,6 @@ EXACT = Exact()
 FLOAT = Float()
 
 
-def exact_eligible(d: Diagram) -> bool:
-    """True when every phase is a closed multiple of pi/4 and every
-    parameter lies in the ring."""
-    return not d.free_variables() and constants_exact(d)
-
-
 def constants_exact(d: Diagram) -> bool:
     """True when the constant part of every phase is a multiple of pi/4 and
     every parameter lies in the ring: then every valuation on the pi/4 grid
@@ -120,7 +117,7 @@ def _in_ring(param) -> bool:
 
 def best_mode(*ds: Diagram, tol: float = 1e-9) -> InterpMode:
     approx = Float(tol)  # refuses a meaningless tolerance whichever mode is picked
-    return EXACT if all(exact_eligible(d) for d in ds) else approx
+    return EXACT if all(constants_exact(d) for d in ds) else approx
 
 
 # -- generator tensors ---------------------------------------------------------
@@ -136,10 +133,13 @@ def phase_value(phase):
 
 def _phase_factor(phase, exact: bool, slot: Mapping[str, int]):
     """e^{i phase} in the ring; for a phase with variables, the monomial
-    in z_v = e^{iv} whose exponent of v sits at slot[v]."""
+    in z_v = e^{iv} whose exponent of v sits at slot[v] (a free variable
+    has no slot, and is refused)."""
     if phase.terms:
         exps = [0] * len(slot)
         for v, n in phase.terms:
+            if v not in slot:
+                raise SemanticsError(f"free phase variable {v!r}")
             exps[slot[v]] = n
         return Laurent({tuple(exps): _phase_factor(Phase(phase.const), exact, slot)})
     v = phase_value(phase)
@@ -303,12 +303,12 @@ def _contract_all(tensors):
     return out
 
 
-def interp(d: Diagram, mode: InterpMode = EXACT) -> Matrix:
-    """The matrix denoted by `d`: 2^{n_out} x 2^{n_in}, exact or float."""
-    if d.free_variables():
-        raise SemanticsError(f"free phase variables {sorted(d.free_variables())}")
+def interp(d: Diagram, mode: InterpMode = EXACT, slot: Optional[Mapping] = None) -> Matrix:
+    """The matrix denoted by `d`: 2^{n_out} x 2^{n_in}, exact or float.
+    Every phase variable of `d` needs its exponent slot in `slot`; the
+    entries are then Laurent polynomials (see `_contract_diagram`)."""
     exact = isinstance(mode, Exact)
-    coords = _contract_diagram(d, exact, {})
+    coords = _contract_diagram(d, exact, slot or {})
     return Matrix(coords, 1 << d.n_out, 1 << d.n_in, Cyclo(0) if exact else 0j)
 
 
@@ -395,32 +395,40 @@ def _contract_diagram(d: Diagram, exact: bool, slot: Mapping[str, int]) -> dict:
 
 
 def eq_semantic(d1: Diagram, d2: Diagram, mode: Optional[InterpMode] = None) -> bool:
-    """Entrywise equality of the two interpretations (exact or within tol)."""
-    if d1.shape != d2.shape:
-        raise ArityMismatch(f"cannot compare {d1.shape} with {d2.shape}")
-    if mode is None:
-        mode = best_mode(d1, d2)
-    m1, m2 = interp(d1, mode), interp(d2, mode)
-    if isinstance(mode, Exact):
-        return m1 == m2
-    return m1.close(m2, mode.tol)
+    """Equality of the interpretations of two variable-free diagrams:
+    `eq_linear`'s verdict, in `mode` (exact, or float within its `tol`)
+    or, by default, exactly when every constant is in the ring."""
+    free = d1.free_variables() | d2.free_variables()
+    if free:
+        raise SemanticsError(f"free phase variables {sorted(free)}")
+    exact = None if mode is None else isinstance(mode, Exact)
+    tol = mode.tol if isinstance(mode, Float) else FLOAT.tol
+    return eq_linear(d1, d2, tol=tol, exact=exact).equal
 
 
 @dataclass(frozen=True)
 class LinearEqResult:
-    """Outcome of an equality check on diagrams with phase variables.
+    """Outcome of an equality check on two diagrams or diagram families.
 
     `proved` is True when the two exact interpretations are identical as
     polynomials in the phases, which holds for every real valuation;
-    otherwise a True `equal` is evidence from the valuations checked."""
+    otherwise a True `equal` is evidence from the valuations checked.  A
+    False `equal` carries the entries of the difference at `witness`."""
 
     equal: bool
     witness: Optional[Mapping[str, object]]  # falsifying valuation, if any
     valuations_checked: int
     proved: bool = False
+    difference: tuple = field(default=(), repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.equal
+
+    def largest_difference(self) -> float:
+        """The largest modulus among `difference`: NaN when some entry is
+        NaN; OverflowError when an exact entry is beyond a float."""
+        sizes = [math.hypot(z.real, z.imag) for z in map(complex, self.difference)]
+        return math.nan if any(map(math.isnan, sizes)) else max(sizes, default=0.0)
 
 
 def eq_linear(
@@ -429,65 +437,71 @@ def eq_linear(
     samples: int = 100,
     seed: Optional[int] = None,
     tol: float = 1e-9,
+    exact: Optional[bool] = None,
 ) -> LinearEqResult:
-    """Equality of two diagram families over their shared phase variables.
+    """Equality of two diagrams, or of two families over their pooled
+    phase variables: the one equality decision.
 
     Each side is interpreted once as a matrix of Laurent polynomials in
-    z_v = e^{iv}; their difference is then checked on every valuation of
-    the pi/4 grid (subsampled beyond 4096 combinations), exactly when every
-    constant is in the ring, plus `samples` uniform random valuations in
-    float.  Variables are pooled from both sides, so a family may be
-    compared against a variable-free diagram.  A False verdict is always
-    right and carries the first falsifying valuation as its witness.  A
-    True verdict is `proved` for every real valuation when the difference
-    is exactly zero; with float constants it is evidence from the
-    valuations checked.
+    z_v = e^{iv}, exactly if `exact` (by default: if every constant is in
+    the ring), else in float.  Their difference is checked by `vanishes_at`
+    on every valuation of the pi/4 grid (subsampled beyond 4096), then at
+    `samples` random valuations; a pair with no variables has one.  A False
+    verdict is always right and carries the first falsifying valuation as
+    its witness.  A True verdict is `proved` for every real valuation when
+    the exact difference is zero, else evidence from the valuations checked.
     """
     check_tol(tol)
     check_count("samples", samples)
     if d1.shape != d2.shape:
         raise ArityMismatch(f"cannot compare {d1.shape} with {d2.shape}")
     names = sorted(d1.free_variables() | d2.free_variables())
-    if not names:
-        mode = best_mode(d1, d2, tol=tol)
-        ok = eq_semantic(d1, d2, mode)
-        return LinearEqResult(ok, None if ok else {}, 1, ok and isinstance(mode, Exact))
-
+    if exact is None:
+        exact = constants_exact(d1) and constants_exact(d2)
     rng = random.Random(seed)
     total = 8 ** len(names)
     if total <= 4096:
         combos = range(total)
     else:
         combos = sorted(rng.sample(range(total), 4096))
-    exact = constants_exact(d1) and constants_exact(d2)
     diff, grid = laurent_difference(d1, d2, names, exact)
-    proved = exact and not diff
     # in exact mode an empty `grid` decides the whole grid at once; the
     # scan only finds the first witness
     if grid:
         for checked, combo in enumerate(combos, 1):
             rs = [combo // 8**i % 8 for i in range(len(names))]
             if not vanishes_at(grid, rs, tol):
-                return LinearEqResult(False, {v: Fraction(r, 4) for v, r in zip(names, rs)}, checked)
+                witness = {v: Fraction(r, 4) for v, r in zip(names, rs)}
+                values = tuple(_values_at(grid, rs))
+                return LinearEqResult(False, witness, checked, difference=values)
     checked = len(combos)
-    for _ in range(samples):
+    for _ in range(samples if names else 0):
         val = {v: rng.uniform(0.0, 2.0 * cmath.pi) for v in names}
+        point = [cmath.exp(1j * val[v]) for v in names]
         checked += 1
-        if diff and not vanishes_at(diff, [cmath.exp(1j * val[v]) for v in names], tol):
-            return LinearEqResult(False, dict(val), checked)
-    return LinearEqResult(True, None, checked, proved)
+        if diff and not vanishes_at(diff, point, tol):
+            values = tuple(_values_at(diff, point))
+            return LinearEqResult(False, val, checked, difference=values)
+    return LinearEqResult(True, None, checked, exact and not diff)
+
+
+def _values_at(grid: list, point: list):
+    """The values of the polynomials of `grid` at `point` (see `vanishes_at`)."""
+    if all(x.__class__ is int for x in point):
+        return (e.at_omega(point) for e in grid)
+    return (e.at(point) for e in grid)
 
 
 def vanishes_at(grid: list, point: list, tol: float) -> bool:
     """True when every polynomial of `grid` is zero at `point`.  A point
     of ints r_v is z_v = omega^{r_v}, decided exactly for ring coefficients
     and within `tol` for float ones; a point of complex values z_v (e^{iv}
-    for a phase variable, the value of a ring parameter) within `tol`."""
-    if all(x.__class__ is int for x in point):
-        values = (e.at_omega(point) for e in grid)
-    else:
-        values = (e.at(point) for e in grid)
-    return all(x.is_zero() if isinstance(x, Cyclo) else abs(x) <= tol for x in values)
+    for a phase variable, the value of a ring parameter) within `tol`.  A
+    float value is within `tol` when its modulus, by `math.hypot`, is at
+    most `tol`: an infinite or NaN value never is."""
+    values = _values_at(grid, point)
+    return all(is_zero(x) if isinstance(x, (Cyclo, int)) else math.hypot(x.real, x.imag) <= tol
+               for x in values)
 
 
 def laurent_difference(
@@ -497,10 +511,10 @@ def laurent_difference(
     polynomials in z_v = e^{iv} with one exponent slot per phase variable
     in `names`, then one per ring parameter in `params`, the slots of the
     diagrams' `Laurent` node parameters; and the entries that stay
-    nonzero on the pi/4 grid.  Each side is contracted once, in `interp`'s
-    ring extended by the phases and parameters with variables, and an
-    entry with no variable becomes a constant polynomial; with no names
-    and no parameters the first list is `interp`'s entrywise difference.
+    nonzero on the pi/4 grid.  Each side is contracted once by `interp`,
+    in its ring extended by the phases and parameters with variables, and
+    an entry with no variable becomes a constant polynomial.  Entries that
+    are `==`, equal infinities included, have no difference.
 
     In exact mode the second list holds the entries that are nonzero mod
     z_v^8 - 1 in the phase slots: as the 8-point DFT over Z[1/2][omega] is
@@ -508,9 +522,10 @@ def laurent_difference(
     remainder is zero.  A parameter slot is never reduced.  In float mode
     the second list is the first."""
     slot = {v: i for i, v in enumerate([*names, *params])}
-    m1, m2 = (_contract_diagram(d, exact, slot) for d in (d1, d2))
+    m1, m2 = (interp(d, EXACT if exact else FLOAT, slot).entries for d in (d1, d2))
     base = (0,) * len(slot)
-    diff = (m1.get(k, 0) - m2.get(k, 0) for k in m1.keys() | m2.keys())
+    pairs = ((m1.get(k, 0), m2.get(k, 0)) for k in m1.keys() | m2.keys())
+    diff = (a - b for a, b in pairs if a != b)  # so equal infinities have no difference
     diff = [e if isinstance(e, Laurent) else Laurent({base: e}) for e in diff]
     diff = [e for e in diff if not e.is_zero()]
     grid = [e for e in (e.mod_z8(len(names)) for e in diff) if not e.is_zero()] if exact else diff

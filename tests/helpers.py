@@ -22,7 +22,7 @@ from zxzw.diagrams import CROSS, CROSS_CYCLE, CalculusMismatch, Diagram, Diagram
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rings import Cyclo
-from zxzw.semantics import EXACT, FLOAT, Float, eq_semantic, interp
+from zxzw.semantics import EXACT, FLOAT, Float, interp
 
 _FIXED = {"H": (1, 1), "W11": (1, 1), "W12": (1, 2), "CROSS": (2, 2), "HALF": (0, 0)}
 
@@ -431,8 +431,9 @@ def reference_print_body(d: Diagram) -> str:
 
 def reference_verify_rule(rule, budget=4096, samples=1000, seed=0, tol=1e-9):
     """The verifier that `rules.verify_rule` replaced, which builds every
-    binding and variant with `instantiate` and compares it concretely: the
-    reference for its reports."""
+    binding and variant with `instantiate` and compares its `interp`
+    matrices with `Matrix.__eq__` or `close`, independently of the
+    library's equality decision: the reference for its reports."""
     if budget < 0 or samples < 0:
         raise ru.RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
     approx = Float(tol)
@@ -445,7 +446,8 @@ def reference_verify_rule(rule, budget=4096, samples=1000, seed=0, tol=1e-9):
         for v in variants:
             lhs, rhs = ru.instantiate(rule, b, v)
             checked += 1
-            if eq_semantic(lhs, rhs, EXACT if rule.exact else approx):
+            m1, m2 = (interp(d, EXACT if rule.exact else approx) for d in (lhs, rhs))
+            if m1 == m2 if rule.exact else m1.close(m2, tol):
                 continue
             failed += 1
             if len(failures) < ru.MAX_FAILURES:

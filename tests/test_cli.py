@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from helpers import random_diagram
-from zxzw import cli
+from zxzw import cli, semantics
 from zxzw.cli import main
 from zxzw.diagrams import iso_equal
 from zxzw.dsl import parse, print_diagram
@@ -133,8 +133,8 @@ def test_eq_of_a_difference_too_large_for_a_float_is_one_line(tmp_path, capsys, 
     a = write(tmp_path, "big.zw", f"(seq (wz 1 1 {big}) (wz 1 1 {big}))\n")
     b = write(tmp_path, "two.zw", "(wz 1 1 2)\n")
     interpreted = []
-    interp = cli.interp
-    monkeypatch.setattr(cli, "interp", lambda d, mode: interpreted.append(d) or interp(d, mode))
+    interp = semantics.interp
+    monkeypatch.setattr(semantics, "interp", lambda d, *rest: interpreted.append(d) or interp(d, *rest))
     assert main(["eq", a, b]) == 1
     out, err = capsys.readouterr()
     assert out == "not equal (max entry difference too large for a float)\n" and err == ""

@@ -19,6 +19,7 @@ from zxzw import diagrams as dg
 from zxzw import semantics
 from zxzw import translate as tr
 from zxzw.diagrams import ArityMismatch, Diagram, Gen, flip, iso_equal, seq, ten
+from zxzw.dsl import parse
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rewrite import simplify
@@ -31,9 +32,9 @@ from zxzw.semantics import (
     LinearEqResult,
     SemanticsError,
     best_mode,
+    constants_exact,
     eq_linear,
     eq_semantic,
-    exact_eligible,
     interp,
 )
 
@@ -366,7 +367,7 @@ def test_interp_invariant_under_cross_rotation():
 def test_exact_and_float_agree(seed, tag):
     rng = random.Random(seed)
     d = random_diagram(rng, tag=tag)
-    assert exact_eligible(d)
+    assert constants_exact(d)
     assert interp(d, EXACT).close(interp(d, Float()), 1e-9)
 
 
@@ -391,7 +392,7 @@ def test_spider_fusion_semantics_on_grid():
 
 def test_exact_mode_rejects_float_phase():
     d = dg.z(1, 1, 0.3)
-    assert not exact_eligible(d)
+    assert not constants_exact(d)
     with pytest.raises(SemanticsError):
         interp(d, EXACT)
     assert isinstance(best_mode(d), Float)
@@ -480,6 +481,14 @@ def test_eq_linear_respects_integer_coefficients():
     assert res.witness is not None
 
 
+def _matrices_equal(d1, d2, mode) -> bool:
+    """The `Matrix` oracle: the `interp` matrices of two variable-free
+    diagrams compared by `==` (exact) or `close` (float), independently of
+    the library's equality decision."""
+    m1, m2 = interp(d1, mode), interp(d2, mode)
+    return m1 == m2 if isinstance(mode, Exact) else m1.close(m2, mode.tol)
+
+
 def _eq_linear_by_substitution(d1, d2, samples=100, seed=None, tol=1e-9):
     """Reference: substitute every valuation and compare the matrices."""
     names = sorted(d1.free_variables() | d2.free_variables())
@@ -497,12 +506,12 @@ def _eq_linear_by_substitution(d1, d2, samples=100, seed=None, tol=1e-9):
             rest //= 8
         s1, s2 = d1.substitute(val), d2.substitute(val)
         checked += 1
-        if not eq_semantic(s1, s2, best_mode(s1, s2, tol=tol)):
+        if not _matrices_equal(s1, s2, best_mode(s1, s2, tol=tol)):
             return LinearEqResult(False, dict(val), checked)
     for _ in range(samples):
         val = {v: rng.uniform(0.0, 2.0 * cmath.pi) for v in names}
         checked += 1
-        if not eq_semantic(d1.substitute(val), d2.substitute(val), Float(tol)):
+        if not _matrices_equal(d1.substitute(val), d2.substitute(val), Float(tol)):
             return LinearEqResult(False, dict(val), checked)
     return LinearEqResult(True, None, checked)
 
@@ -627,7 +636,8 @@ def test_negative_sample_count_is_refused():
 @pytest.mark.parametrize("tag", ["zx", "zxt", "zw"])
 def test_variable_free_difference_is_the_interp_difference(tag):
     # the rule verifier decides a lone binding by this difference, so it
-    # must give eq_semantic's verdict, exact and float, and interp's entries
+    # must give the Matrix oracle's verdict, exact and float, and interp's
+    # entries
     rng = random.Random(25)
     verdicts = Counter()
     for _ in range(80):
@@ -641,10 +651,50 @@ def test_variable_free_difference_is_the_interp_difference(tag):
             m1, m2 = interp(a, mode), interp(b, mode)
             want = [m1[k] - m2[k] for k in m1.entries.keys() | m2.entries.keys()]
             assert Counter(e.terms[()] for e in diff) == Counter(v for v in want if v != 0)
-            equal = eq_semantic(a, b, mode)
+            equal = m1 == m2 if mode is EXACT else m1.close(m2, FLOAT.tol)
             assert semantics.vanishes_at(grid, [], FLOAT.tol) == equal
             verdicts[mode is EXACT, equal] += 1
     assert min(verdicts.values()) >= 10 and len(verdicts) == 4, verdicts
+
+
+def _largest_modulus(values) -> float:
+    sizes = [math.hypot(z.real, z.imag) for z in values]
+    return math.nan if any(map(math.isnan, sizes)) else max(sizes, default=0.0)
+
+
+@pytest.mark.parametrize("tag", ["zx", "zxt", "zw"])
+def test_the_equality_decision_agrees_with_the_matrix_oracle(tag):
+    # every "equal" in the library is eq_linear's verdict; on variable-free
+    # pairs it must be the Matrix oracle's, exact and float, and a float
+    # verdict's difference must be the oracle's largest entry difference
+    rng = random.Random(27)
+    verdicts = Counter()
+    pairs = []
+    for _ in range(60):
+        n_in, n_out = rng.randrange(3), rng.randrange(3)
+        d1 = random_diagram(rng, n_in, n_out, tag=tag)
+        d2 = rng.choice([shuffled_copy(d1, rng), random_diagram(rng, n_in, n_out, tag=tag)])
+        off1 = _float_constants(d1, rng)
+        off2 = rng.choice([shuffled_copy(off1, rng), _float_constants(d2, rng)])
+        pairs += [(d1, d2, EXACT), (d1, d2, FLOAT), (off1, off2, FLOAT)]
+    if tag == "zw":  # entries that overflow to infinity: equal to themselves only
+        huge = parse("(seq (wz 1 1 1e200) (wz 1 1 1e200))")
+        pairs += [(huge, huge, FLOAT), (huge, parse("(wz 1 1 2)"), FLOAT)]
+    for a, b, mode in pairs:
+        res = eq_linear(a, b, exact=mode is EXACT)
+        equal = _matrices_equal(a, b, mode)
+        assert (res.equal, res.valuations_checked, res.proved) == (equal, 1, equal and mode is EXACT)
+        assert eq_semantic(a, b, mode) == equal
+        if mode is FLOAT and not equal:
+            m1, m2 = interp(a, mode), interp(b, mode)
+            keys = m1.entries.keys() | m2.entries.keys()
+            want = _largest_modulus(m1[k] - m2[k] for k in keys if m1[k] != m2[k])
+            got = res.largest_difference()
+            assert got == want or math.isnan(got) and math.isnan(want)
+        verdicts[mode is EXACT, equal] += 1
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 4, verdicts
+    if tag == "zw":
+        assert eq_semantic(huge, huge) and not eq_semantic(huge, pairs[-1][1])
 
 
 # -- pinned engine outputs -------------------------------------------------------------
