@@ -196,7 +196,10 @@ def _cmd_roundtrip(args) -> int:
     tol = FLOAT.tol
     if not exact:  # float error grows with the entries: scale by the largest one
         entries = interp(d, mode).entries.values()
-        tol *= max(1.0, max((math.hypot(v.real, v.imag) for v in entries), default=0.0))
+        scale = max((math.hypot(v.real, v.imag) for v in entries), default=0.0)
+        if scale == math.inf:
+            raise OverflowError("an entry of the diagram is beyond a float")
+        tol *= max(1.0, scale)
     if eq_linear(d, back, tol=tol, exact=exact).equal:
         print(f"PASS  [{'exact' if exact else 'float'}]")
         return 0
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=4096,
                     help="exhaustive-grid cutoff per rule")
     sp.add_argument("--samples", type=int, default=1000,
-                    help="random bindings per continuously-parameterised rule")
+                    help="random bindings of rules A and TD, whose parameters are real")
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--json", action="store_true")

@@ -126,10 +126,11 @@ class Cyclo:
         return self.b == self.c == self.d == 0
 
     def to_complex(self) -> complex:
-        h = 2.0 ** (-self.e - 1)  # 1 / 2^{e+1}
-        s = math.sqrt(2.0)
-        re = (2 * self.a + s * (self.b - self.d)) * h
-        im = (2 * self.c + s * (self.b + self.d)) * h
+        # the integers are divided by 2^e before any float arithmetic, so
+        # only a part whose own value is beyond a float overflows
+        n, h = 1 << self.e, math.sqrt(2.0) / 2
+        re = self.a / n + (self.b - self.d) / n * h
+        im = self.c / n + (self.b + self.d) / n * h
         return complex(re, im)
 
     __complex__ = to_complex
@@ -290,8 +291,8 @@ class Laurent:
         return value
 
     def at(self, values) -> complex:
-        """The complex value at z_v = values[v]: e^{i theta_v} for a phase
-        variable, any complex number for a ring parameter."""
+        """The complex value at z_v = values[v], e^{i theta_v} for a phase
+        variable v."""
         acc = 0j
         for n, c in self.terms.items():
             term = complex(c)

@@ -2,23 +2,21 @@
 
 Each rule is stored as a builder that turns a variable binding into a
 concrete (lhs, rhs) diagram pair.  Rules whose variables live on the pi/4
-grid are checked exhaustively in exact arithmetic (up to a per-rule budget);
-rules with continuous parameters are checked on sampled bindings.  The
-verifier doubles as the transcription oracle: a rule enters a set only if
-every checked instance is sound.
+grid are checked exhaustively in exact arithmetic (up to a per-rule
+budget); a ring parameter (`RING`: r and s of TA and the zw rules 0c, 1b,
+1c, 4a, 4b, 5, 6c) is a polynomial variable, so those rules are proved as
+polynomial identities; A and TD, whose parameters are real, are checked
+on sampled bindings.  The verifier doubles as the transcription oracle: a
+rule enters a set only if every checked instance is sound.
 
 Every binding is decided by one contraction of the difference of its
-sides (`semantics.laurent_difference`).  Bindings that differ only in
-their `GRID8` phases, or only in their complex-valued ring parameters (r
-and s of TA and the zw rules), are decided together: the pair is built
-once with a variable for each such name, a phase variable or a `Laurent`
-monomial in the parameter, and the difference is contracted exactly, as
-a polynomial in z = e^{i phase} or in r and s, when the pair's other
-constants are in the ring, as they are in every such rule here.  Each
-binding is then decided at its point: exactly at its grid point, within
-`tol` at its sampled parameter values.  A binding with no such partner is
-contracted by the same difference, without variables, in the exact or
-float ring that `interp` uses.
+sides (`semantics.laurent_difference`), with a `Laurent` monomial for each
+ring parameter: it passes when the difference is zero (within `tol` in
+float).  Bindings that differ only in their `GRID8` phases are decided
+together: the pair is built once with a phase variable for each, and the
+difference, exact when the pair's other constants are in the ring, is
+decided at each grid point.  A lone binding's difference has no phase
+variables, and is exact or float as `interp` is.
 
 Sets:
 
@@ -41,14 +39,15 @@ from fractions import Fraction
 
 from . import diagrams as dg
 from . import gadgets as gad
-from .diagrams import Diagram
+from .diagrams import WZ, Diagram, Gen
 from .phases import Phase
-from .rings import Cyclo, Laurent
+from .rings import Cyclo, Laurent, is_zero
 from .semantics import FLOAT, check_tol, constants_exact, interp, laurent_difference, vanishes_at
 
 F = Fraction
 
 GRID8 = tuple(F(k, 4) for k in range(8))
+RING = object()  # the domain of a ring parameter: the whole ring, never enumerated
 
 
 class RuleError(ValueError):
@@ -60,10 +59,11 @@ class RuleError(ValueError):
 class Rule:
     """One rewrite rule: a named schema plus instantiation machinery.
 
-    ``grid`` lists each exact variable with its finite domain (phases as
-    fractions of pi, arities as ints).  ``sample`` instead draws one full
-    binding for continuously-parameterised rules; a rule has one or the
-    other, never both.
+    ``grid`` lists each exact variable with its domain: a finite one
+    (phases as fractions of pi, arities as ints), or `RING` for a ring
+    parameter, which the rule holds for as a polynomial identity.
+    ``sample`` instead draws one full binding for a rule with real
+    parameters (A and TD); a rule has one or the other, never both.
     """
 
     name: str
@@ -72,10 +72,6 @@ class Rule:
     sample: object = None
     domain: str = ""
     variants: tuple = ("flip",)
-
-    @property
-    def exact(self) -> bool:
-        return self.sample is None
 
 
 def _id(n):
@@ -95,7 +91,7 @@ def _apply_variant(d: Diagram, variant: str) -> Diagram:
 def instantiate(rule: Rule, binding: dict, variant: str = "base"):
     """Build the concrete (lhs, rhs) pair for one binding and variant."""
     for name, values in rule.grid:
-        if name in binding and binding[name] not in values:
+        if name in binding and values is not RING and binding[name] not in values:
             raise RuleError(f"{rule.name}: {name}={binding[name]!r} outside domain")
     return _sides(rule, rule.build(binding), variant)
 
@@ -346,17 +342,10 @@ def _w21_t() -> Diagram:
     )
 
 
-def _ta_sample(rng):
-    return {
-        "r": complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-        "s": complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-    }
-
-
 RULE_TA = Rule(
     "TA",
     lambda b: (dg.seq(dg.tri(b["r"]), dg.tri(b["s"])), dg.tri(b["r"] + b["s"])),
-    sample=_ta_sample,
+    grid=(("r", RING), ("s", RING)),
     domain="triangle parameters add under composition",
     variants=("flip",),
 )
@@ -397,32 +386,19 @@ RULE_TD = Rule(
 # -- the zw family ----------------------------------------------------------------
 
 
-def _r_complex(rng):
-    return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-
-
-def _w1c_sample(rng):
-    return {
-        "r": _r_complex(rng),
-        "s": _r_complex(rng),
-        "n1": rng.randint(0, 2),
-        "m1": rng.randint(0, 2),
-        "k": rng.randint(1, 2),
-        "n2": rng.randint(0, 2),
-        "m2": rng.randint(0, 2),
-    }
-
-
 def _w1c_build(b):
+    """The left side is seq(ten(white(n1, m1 + k, r), id(n2)), ten(id(m1),
+    white(k + n2, m2, s))), wired directly: 1c is decided binding by
+    binding, and one construction costs a fraction of composing's seven."""
     r, s = b["r"], b["s"]
     n1, m1, k, n2, m2 = b["n1"], b["m1"], b["k"], b["n2"], b["m2"]
-    if not all(0 <= v <= 4 for v in (n1, m1, n2, m2)) or not 1 <= k <= 4:
-        raise RuleError("1c: arity outside the configured bounds")
-    lhs = dg.seq(
-        dg.ten(dg.white(n1, m1 + k, r), _id(n2)),
-        dg.ten(_id(m1), dg.white(k + n2, m2, s)),
-    )
-    return lhs, dg.white(n1 + n2, m1 + m2, r * s)
+    edges = [(("i", p), ("n", 0, p)) for p in range(n1)]
+    edges += [(("i", n1 + p), ("n", 1, k + p)) for p in range(n2)]
+    edges += [(("n", 0, n1 + p), ("o", p)) for p in range(m1)]
+    edges += [(("n", 0, n1 + m1 + p), ("n", 1, p)) for p in range(k)]
+    edges += [(("n", 1, k + n2 + p), ("o", m1 + p)) for p in range(m2)]
+    nodes = (Gen(WZ, n1, m1 + k, None, r), Gen(WZ, k + n2, m2, None, s))
+    return Diagram("zw", nodes, edges, n1 + n2, m1 + m2), dg.white(n1 + n2, m1 + m2, r * s)
 
 
 def _v_node() -> Diagram:
@@ -455,7 +431,7 @@ ZW_RULES = (
             dg.seq(dg.ten(dg.white(1, 1, b["r"]), gad.wire()), dg.zw_cross()),
             dg.seq(dg.zw_cross(), dg.ten(gad.wire(), dg.white(1, 1, b["r"]))),
         ),
-        sample=lambda rng: {"r": _r_complex(rng)},
+        grid=(("r", RING),),
         domain="white nodes slide through the signed crossing",
     ),
     Rule(
@@ -469,13 +445,14 @@ ZW_RULES = (
             dg.seq(dg.white(1, 1, b["s"]), dg.white(1, 2, b["r"])),
             dg.white(1, 2, b["r"] * b["s"]),
         ),
-        sample=lambda rng: {"r": _r_complex(rng), "s": _r_complex(rng)},
+        grid=(("r", RING), ("s", RING)),
         domain="a 1->1 white node fuses into a split, multiplying parameters",
     ),
     Rule(
         "1c",
         _w1c_build,
-        sample=_w1c_sample,
+        grid=(("r", RING), ("s", RING), ("n1", (0, 1, 2)), ("m1", (0, 1, 2)), ("k", (1, 2)),
+              ("n2", (0, 1, 2)), ("m2", (0, 1, 2))),
         domain="white nodes fuse over any shared wires, multiplying parameters",
     ),
     Rule(
@@ -536,7 +513,7 @@ ZW_RULES = (
             ),
             dg.white(0, 1, b["r"] + b["s"]),
         ),
-        sample=lambda rng: {"r": _r_complex(rng), "s": _r_complex(rng)},
+        grid=(("r", RING), ("s", RING)),
         domain="white states add under the w-style sum",
     ),
     Rule(
@@ -549,7 +526,7 @@ ZW_RULES = (
             ),
             dg.white(0, 1, 0),
         ),
-        sample=lambda rng: {"r": _r_complex(rng)},
+        grid=(("r", RING),),
         domain="opposite white states cancel to the unit",
     ),
     Rule(
@@ -562,7 +539,7 @@ ZW_RULES = (
                 dg.ten(_v_node(), _v_node()),
             ),
         ),
-        sample=lambda rng: {"r": _r_complex(rng)},
+        grid=(("r", RING),),
         domain="the white split distributes over the w sum",
     ),
     Rule(
@@ -589,7 +566,7 @@ ZW_RULES = (
             ),
             dg.white(0, 0, -b["r"]),
         ),
-        sample=lambda rng: {"r": _r_complex(rng)},
+        grid=(("r", RING),),
         domain="the signed trace negates a white parameter",
     ),
     Rule(
@@ -741,10 +718,11 @@ def _json_matrix(m) -> list:
 def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
     if rule.sample is not None:
         return [rule.sample(rng) for _ in range(samples)]
-    if not rule.grid:
+    grid = [(name, values) for name, values in rule.grid if values is not RING]
+    if not grid:
         return [{}]
-    names = [n for n, _ in rule.grid]
-    domains = [vals for _, vals in rule.grid]
+    names = [n for n, _ in grid]
+    domains = [vals for _, vals in grid]
     total = math.prod(len(v) for v in domains)
     if total <= budget:
         return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
@@ -760,29 +738,45 @@ def _bindings_for(rule: Rule, budget: int, samples: int, rng: random.Random):
     return bindings
 
 
-def _decide_group(rule: Rule, group: list, names: list, variants: tuple, tol: float) -> dict:
+def _witness(grid: list, params: list) -> dict:
+    """The first point of {0, 1, 2, ...}^k, in lexicographic order, where a
+    polynomial of the nonempty exact `grid` in the k ring parameters
+    `params` is nonzero.  It lies in {0..d}^k, d the largest exponent in
+    any slot, as no nonzero polynomial of degree at most d in each variable
+    vanishes on all of that box."""
+    d = max(a for e in grid for n in e.terms for a in n)
+    for point in itertools.product(range(d + 1), repeat=len(params)):
+        values = (sum(c * math.prod(map(pow, point, n)) for n, c in e.terms.items()) for e in grid)
+        if not all(map(is_zero, values)):
+            return dict(zip(params, point))
+
+
+def _decide_group(rule: Rule, group: list, phases: list, params: list, variants: tuple,
+                  tol: float) -> dict:
     """The verdicts per variant of each binding in `group`, which agree on
-    every name but those in `names`: the `GRID8` phases of a grid rule, the
-    complex-valued ring parameters of a sampled one.  One build, one
-    contraction of the difference per variant, and each binding decided at
-    its point: z = omega^(4 * value) for a phase, the sampled value for a
-    parameter.  Two or more bindings are built with a variable per name (a
-    phase variable, or a `Laurent` monomial in the parameter), and the
-    difference is exact when the pair's other constants are in the ring; a
-    lone binding is built as it is, and its difference has no variables."""
-    names = names if len(group) > 1 else []
-    phases, params = (names, []) if rule.exact else ([], names)
+    every name but their `GRID8` phases `phases`: None for a pass, else
+    the `_witness` values of the ring parameters `params` ({} if none).
+    One build, with a `Laurent` monomial per ring parameter, and one
+    contraction of the difference per variant.  Two or more bindings are
+    built with a phase variable per phase, each decided at its point
+    z = omega^(4 * value); a lone binding with its phases as they are.  A
+    binding with ring parameters passes, for every value of them, exactly
+    when its difference is zero."""
+    phases = phases if len(group) > 1 else []
     variables = {name: Phase.var(name) for name in phases}
     for i, name in enumerate(params):
         variables[name] = Laurent({tuple(int(j == i) for j in range(len(params))): 1})
     pair = rule.build({**group[0], **variables})
     exact = all(constants_exact(d) for d in pair)
-    points = [[int(4 * b[n]) for n in phases] + [b[n] for n in params] for b in group]
+    points = [[int(4 * b[n]) for n in phases] for b in group]
     verdicts = [[] for _ in group]
     for v in variants:
         _, grid = laurent_difference(*_sides(rule, pair, v), phases, exact, params)
         for out, point in zip(verdicts, points):
-            out.append(vanishes_at(grid, point, tol))
+            if params:
+                out.append(_witness(grid, params) if grid else None)
+            else:
+                out.append(None if vanishes_at(grid, point, tol) else {})
     return {id(b): out for b, out in zip(group, verdicts)}
 
 
@@ -795,43 +789,45 @@ def verify_rule(
 ) -> RuleReport:
     """Check one rule over its grid or sampled bindings, plus all variants.
 
-    Every binding is decided by `_decide_group`: those that agree on all
-    but their `GRID8` phases, or on all but their complex-valued ring
-    parameters, together; a lone one on its own.  The report is that of
-    checking every instance with `interp`."""
+    `budget` caps the finite part of the grid (ring parameters are not
+    enumerated), and `samples` counts a sampled rule's bindings.  Every
+    binding is decided by `_decide_group`: those that agree on all but
+    their `GRID8` phases together, a lone one on its own.  The report is
+    that of checking every instance with `interp`, at its witness for a
+    failure with ring parameters."""
     if budget < 0 or samples < 0:
         raise RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
     check_tol(tol)  # a meaningless tolerance is refused for exact rules too
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = _bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)
-    if rule.exact:
-        names = [name for name, values in rule.grid if values is GRID8]
-    else:  # a sampler draws each name's value with one type
-        names = [k for k, v in (bindings[0] if bindings else {}).items() if isinstance(v, complex)]
+    params = [name for name, values in rule.grid if values is RING]
+    # with ring parameters a binding is decided alone, its difference a polynomial in them only
+    phases = [] if params else [name for name, values in rule.grid if values is GRID8]
 
     def others(b):
-        return tuple(v for k, v in b.items() if k not in names)
+        return tuple(v for k, v in b.items() if k not in phases)
 
     groups: dict = {}
     for b in bindings:
         groups.setdefault(others(b), []).append(b)
-    decided: dict = {}  # id(binding) -> its verdicts
+    decided: dict = {}  # id(binding) -> per variant, None or a witness
     checked = failed = 0
     failures = []
     for b in bindings:
         if id(b) not in decided:
-            decided.update(_decide_group(rule, groups[others(b)], names, variants, tol))
-        for v, ok in zip(variants, decided[id(b)]):
+            decided.update(_decide_group(rule, groups[others(b)], phases, params, variants, tol))
+        for v, witness in zip(variants, decided[id(b)]):
             checked += 1
-            if ok:
+            if witness is None:
                 continue
             failed += 1
             if len(failures) < MAX_FAILURES:
-                lhs, rhs = instantiate(rule, b, v)
+                at = {**b, **witness}
+                lhs, rhs = instantiate(rule, at, v)
                 failures.append(
                     {
-                        "binding": {k: _json_value(val) for k, val in b.items()},
+                        "binding": {k: _json_value(val) for k, val in at.items()},
                         "variant": v,
                         "lhs_matrix": _json_matrix(interp(lhs, FLOAT)),
                         "rhs_matrix": _json_matrix(interp(rhs, FLOAT)),

@@ -495,10 +495,9 @@ def _values_at(grid: list, point: list):
 def vanishes_at(grid: list, point: list, tol: float) -> bool:
     """True when every polynomial of `grid` is zero at `point`.  A point
     of ints r_v is z_v = omega^{r_v}, decided exactly for ring coefficients
-    and within `tol` for float ones; a point of complex values z_v (e^{iv}
-    for a phase variable, the value of a ring parameter) within `tol`.  A
-    float value is within `tol` when its modulus, by `math.hypot`, is at
-    most `tol`: an infinite or NaN value never is."""
+    and within `tol` for float ones; a point of complex values z_v = e^{iv}
+    within `tol`.  A float value is within `tol` when its modulus, by
+    `math.hypot`, is at most `tol`: an infinite or NaN value never is."""
     values = _values_at(grid, point)
     return all(is_zero(x) if isinstance(x, (Cyclo, int)) else math.hypot(x.real, x.imag) <= tol
                for x in values)

@@ -5,6 +5,7 @@ simplifier, the per-character tokenizer, the printer that routed each edge
 by its pair of end kinds and the one-instance-at-a-time rule verifier."""
 
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -433,31 +434,40 @@ def reference_verify_rule(rule, budget=4096, samples=1000, seed=0, tol=1e-9):
     """The verifier that `rules.verify_rule` replaced, which builds every
     binding and variant with `instantiate` and compares its `interp`
     matrices with `Matrix.__eq__` or `close`, independently of the
-    library's equality decision: the reference for its reports."""
+    library's equality decision: the reference for its reports.  A rule
+    with k ring parameters is built at every point of {0..3}^k, exactly,
+    and fails at the first point, in lexicographic order, where its sides
+    differ."""
     if budget < 0 or samples < 0:
         raise ru.RuleError(f"budget and samples must be non-negative, got {budget} and {samples}")
     approx = Float(tol)
+    exact = rule.sample is None
     rng = random.Random(f"{seed}:{rule.name}")
     bindings = ru._bindings_for(rule, budget, samples, rng)
     variants = ("base",) + tuple(rule.variants)
+    params = [name for name, values in rule.grid if values is ru.RING]
+    points = [dict(zip(params, p)) for p in itertools.product(range(4), repeat=len(params))]
     checked = failed = 0
     failures = []
     for b in bindings:
         for v in variants:
-            lhs, rhs = ru.instantiate(rule, b, v)
             checked += 1
-            m1, m2 = (interp(d, EXACT if rule.exact else approx) for d in (lhs, rhs))
-            if m1 == m2 if rule.exact else m1.close(m2, tol):
-                continue
-            failed += 1
-            if len(failures) < ru.MAX_FAILURES:
-                failures.append(
-                    {
-                        "binding": {k: ru._json_value(val) for k, val in b.items()},
-                        "variant": v,
-                        "lhs_matrix": ru._json_matrix(interp(lhs, FLOAT)),
-                        "rhs_matrix": ru._json_matrix(interp(rhs, FLOAT)),
-                    }
-                )
+            for point in points:
+                at = {**b, **point}
+                lhs, rhs = ru.instantiate(rule, at, v)
+                m1, m2 = (interp(d, EXACT if exact else approx) for d in (lhs, rhs))
+                if m1 == m2 if exact else m1.close(m2, tol):
+                    continue
+                failed += 1
+                if len(failures) < ru.MAX_FAILURES:
+                    failures.append(
+                        {
+                            "binding": {k: ru._json_value(val) for k, val in at.items()},
+                            "variant": v,
+                            "lhs_matrix": ru._json_matrix(interp(lhs, FLOAT)),
+                            "rhs_matrix": ru._json_matrix(interp(rhs, FLOAT)),
+                        }
+                    )
+                break
     status = "PASS" if checked and not failed else "FAIL"
     return ru.RuleReport(rule.name, checked, status, failures, failed)

@@ -55,6 +55,12 @@ def test_eval_float_of_a_grid_phase_prints_exact_parts(tmp_path, capsys):
     assert capsys.readouterr().out == "1 -> 1  [float]\n1  0\n0  0+1i\n"
 
 
+def test_eval_float_of_a_parameter_whose_double_is_beyond_a_float(tmp_path, capsys):
+    f = write(tmp_path, "t.zx", "(tri 1e308)\n")
+    assert main(["eval", f, "--float"]) == 0
+    assert capsys.readouterr().out == "1 -> 1  [float]\n1  1e+308\n0  1\n"
+
+
 def test_eval_input_errors(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "missing.zx")]) == 2
     bad = write(tmp_path, "bad.zx", "(seq id\n")
@@ -278,10 +284,12 @@ _BIG = "9" * 400  # more digits than a float holds
         (["translate", "--to", "zx"], ["(wz 1 1 9e307+1i)"], "above 2^1023"),
         (["translate", "--to", "zx"], ["(wz 1 1 1.7e308+1.7e308i)"], "above 2^1023"),
         (["roundtrip"], ["(tri 9e307+1i)"], "above 2^1023"),
+        (["roundtrip"], ["(seq (Z 1 1 0.3) (tri 1e308) (tri 1e308))"], "too large for a float"),
+        (["roundtrip"], [f"(seq (Z 1 1 0.3){' (tri 8e307+1i)' * 3})"], "too large for a float"),
     ],
     ids=["simplify-digits", "simplify-nan", "simplify-float", "eval-float", "eval-best-float",
          "eq-wz", "eq-tri", "roundtrip-float", "translate-9e307", "translate-1.7e308",
-         "roundtrip-9e307"],
+         "roundtrip-9e307", "roundtrip-inf", "roundtrip-float-inf"],
 )
 def test_number_beyond_float_or_text_is_one_error_line(tmp_path, command, texts, message):
     if message == "too large to print" and not hasattr(sys, "get_int_max_str_digits"):

@@ -204,3 +204,10 @@ def test_subtraction_from_an_unsupported_type_is_a_plain_type_error():
     assert 3 - Cyclo(1) == Cyclo(2)
     with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'float' and 'Cyclo'"):
         1.5 - Cyclo(1)
+
+
+def test_to_complex_of_an_element_whose_double_is_beyond_a_float():
+    # the value is a float although twice it is not
+    assert complex(Cyclo(10**308)) == 1e308
+    assert complex(Cyclo(0, 0, -10**308)) == -1e308j
+    assert complex(Cyclo(2**1100 + 1, 0, 0, 0, 1100)) == 1.0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_verify_rule
+from zxzw import diagrams as dg
 from zxzw import rules as ru
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
@@ -26,10 +27,13 @@ RULES_AND_CONTROLS += ru.corrupted_rules()
 
 
 def ring_parameters(rule):
-    """The names that a sampled rule's bindings give complex values."""
-    if rule.sample is None:
-        return []
-    return [k for k, v in rule.sample(random.Random(0)).items() if isinstance(v, complex)]
+    """The names that a rule's grid declares ring parameters."""
+    return [name for name, values in rule.grid if values is ru.RING]
+
+
+def ring_point(rule, rng):
+    """Seeded complex values for a rule's ring parameters."""
+    return {name: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for name in ring_parameters(rule)}
 
 
 RING_PARAMETER_RULES = [r for r in RULES_AND_CONTROLS if ring_parameters(r)]
@@ -81,7 +85,7 @@ def test_instantiated_sides_share_boundaries():
     for name in SET_NAMES:
         for rule in ru.axiom_set(name):
             b = ru._bindings_for(rule, budget=4, samples=2, rng=rng)[0]
-            lhs, rhs = ru.instantiate(rule, b)
+            lhs, rhs = ru.instantiate(rule, {**b, **ring_point(rule, rng)})
             assert lhs.shape == rhs.shape, rule.name
 
 
@@ -149,7 +153,8 @@ def test_each_control_keeps_its_rule_but_for_the_sides_it_breaks(control):
     assert (control.grid, control.sample, control.variants) == (
         rule.grid, rule.sample, rule.variants)
     assert control.domain == rule.domain + " (deliberately broken)"
-    binding = ru._bindings_for(rule, 1, 1, random.Random(control.name))[0]
+    rng = random.Random(control.name)
+    binding = {**ru._bindings_for(rule, 1, 1, rng)[0], **ring_point(rule, rng)}
     got, want = control.build(binding), rule.build(binding)
     for side in (0, 1):
         assert (got[side] == want[side]) == (side in kept), side
@@ -221,34 +226,58 @@ def test_the_ring_parameter_rules():
         "TA", "0c", "1b", "1c", "4a", "4b", "5", "6c", "TA~bad", "4a~bad"]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_grouped_verifier_matches_the_reference_on_groups_of_24(seed):
-    # 24 sampled bindings a rule, decided as one group (1c: a group per set of arities)
-    for rule in RING_PARAMETER_RULES:
-        got = ru.verify_rule(rule, 0, samples=24, seed=seed)
-        want = reference_verify_rule(rule, 0, samples=24, seed=seed)
-        assert (got.to_json(), got.failed) == (want.to_json(), want.failed), rule.name
+def test_1c_covers_its_whole_arity_grid_from_a_budget_of_162():
+    # one binding per arity tuple, each decided for every r and s at once
+    rule = ru.axiom_set("zw").rule("1c")
+    reports = [ru.verify_rule(rule, budget) for budget in (161, 162, 4096)]
+    assert [(r.instances, r.status) for r in reports] == [(322, "PASS")] + [(324, "PASS")] * 2
+
+
+def test_1c_is_wired_as_the_composed_fusion():
+    rule = ru.axiom_set("zw").rule("1c")
+    r, s = Laurent({(1, 0): 1}), Laurent({(0, 1): 1})
+    for b in ru._bindings_for(rule, 162, 0, random.Random(0)):
+        n1, m1, k, n2, m2 = b["n1"], b["m1"], b["k"], b["n2"], b["m2"]
+        lhs = dg.seq(dg.ten(dg.white(n1, m1 + k, r), dg.Diagram.identity(n2)),
+                     dg.ten(dg.Diagram.identity(m1), dg.white(k + n2, m2, s)))
+        assert rule.build({**b, "r": r, "s": s}) == (lhs, dg.white(n1 + n2, m1 + m2, r * s)), b
+
+
+@pytest.mark.parametrize("name", ["TA", "0c", "1b", "4a", "4b", "5", "6c"])
+def test_a_fixed_arity_ring_parameter_rule_has_one_binding(name):
+    rule = ru.RULE_TA if name == "TA" else ru.axiom_set("zw").rule(name)
+    rep = ru.verify_rule(rule, budget=0, samples=0)
+    assert (rep.instances, rep.status) == (2, "PASS")
+
+
+@pytest.mark.parametrize("name", ["TA~bad", "4a~bad"])
+def test_ring_parameter_controls_fail_at_integer_witnesses(name):
+    # r + s - (r - s) and r + s - rs vanish at (0, 0), not at (0, 1)
+    control = next(c for c in ru.corrupted_rules() if c.name == name)
+    rep = ru.verify_rule(control)
+    assert (rep.instances, rep.failed, rep.status) == (2, 2, "FAIL")
+    assert [f["binding"] for f in rep.failures] == [{"r": 0, "s": 1}] * 2
 
 
 @pytest.mark.parametrize("rule", RING_PARAMETER_RULES, ids=lambda r: r.name)
 def test_builders_are_natural_in_their_ring_parameters(rule):
     # the symbolic check rests on this: each side built with a variable per
     # ring parameter, contracted once (exactly, and in float) and evaluated
-    # at a sampled binding, is the float interpretation of the concrete
-    # build there
+    # at seeded complex values, is the float interpretation of the
+    # concrete build there
     params = ring_parameters(rule)
     slot = {name: i for i, name in enumerate(params)}
     variables = {
         name: Laurent({tuple(int(j == i) for j in range(len(params))): 1}) for name, i in slot.items()
     }
     rng = random.Random(rule.name)
-    for _ in range(6):
-        b = rule.sample(rng)
+    bindings = ru._bindings_for(rule, 6, 0, rng)
+    for b, values in [(b, ring_point(rule, rng)) for b in bindings for _ in range(6)]:
         pair = rule.build({**b, **variables})
-        point = [b[name] for name in params]
+        point = [values[name] for name in params]
         for variant in ("base",) + rule.variants:
             sides = ru._sides(rule, pair, variant)
-            for side, concrete in zip(sides, ru.instantiate(rule, b, variant)):
+            for side, concrete in zip(sides, ru.instantiate(rule, {**b, **values}, variant)):
                 assert semantics.constants_exact(side)
                 want = interp(concrete, FLOAT).entries
                 for exact in (True, False):
