@@ -158,6 +158,25 @@ def test_small_x_spider_enters_the_contraction_as_one_tensor(monkeypatch):
     assert counts == [1] * 32
 
 
+def test_small_x_spider_is_built_without_a_pair_contraction(monkeypatch):
+    # its tensor is written down in closed form, not contracted from a Z
+    # tensor and a Hadamard per leg
+    calls = []
+    real = semantics._contract_pair
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(semantics, "_contract_pair", counted)
+    for n in range(5):
+        for m in range(5 - n):
+            interp(dg.x(n, m, Fraction(1, 4)))
+            interp(dg.x(n, m, 0.3), FLOAT)
+            interp(dg.x(n, m, Phase.var("a") + Phase.exact_pi(Fraction(1, 4))), slot={"a": 0})
+    assert len(calls) == 0  # one per leg when built from its definition
+
+
 def test_wide_x_spider_enters_the_contraction_as_its_definition(monkeypatch):
     counts = _tensor_counts(monkeypatch)
     for n in range(6):
