@@ -14,9 +14,10 @@ end and an identity tensor joining the two.  So a bare wire is an
 identity, a self-loop a trace, and closed loops one scalar tensor, with no
 case of their own.  There is no pre-pass and no diagram is rebuilt: a red
 spider is its definition, a green spider's tensor with a Hadamard tensor on
-every leg.  Up to arity 4 that definition is contracted once per generator
-object and call, and the spider enters the network as one tensor; a wider
-one enters with a Hadamard per leg.  The result is a `matrices.Matrix` for
+every leg.  Up to arity 4 it enters the network as one tensor written in
+closed form, (1 + (-1)^|x| e^{i alpha}) / sqrt2^k at key x, computed with
+the products and sums that contracting the definition would take; a wider
+one enters as the definition itself.  The result is a `matrices.Matrix` for
 every boundary size: the nonzero entries that the contraction leaves,
 keyed by (row, column).
 
@@ -49,6 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter, mul
 from typing import Mapping, Optional, Union
 
@@ -159,14 +161,30 @@ def _param_value(param, exact: bool):
 
 
 def _gen_entries(g: Gen, exact: bool, slot: Mapping[str, int]) -> dict:
+    """The tensor of `g`, legs in port order.  An X spider of arity k <= 4
+    is in closed form: with a = 1 s^k and b = e^{i phase} s^k, s = 1/sqrt2
+    and each product taken left to right, a key of even parity holds a + b
+    and one of odd parity a - b, and zeros are dropped.  These are the
+    products and sums of a Z tensor contracted with a Hadamard per leg, so
+    exact entries are equal and float ones identical to the bit (a float
+    polynomial's coefficients up to the sign of a zero part).  A wider X
+    spider gets its Z tensor, which `_contract_diagram` puts a Hadamard on
+    every leg of."""
     one = Cyclo(1) if exact else 1 + 0j
-    if g.kind == Z:
+    s = INV_SQRT2 if exact else complex(INV_SQRT2)
+    if g.kind == Z or g.kind == X and not 0 < g.arity <= _DENSE_X:  # X with no leg is Z
         return _spider(g.arity, one, _phase_factor(g.phase, exact, slot))
+    if g.kind == X:
+        a, b = one, _phase_factor(g.phase, exact, slot)
+        for _ in range(g.arity):
+            a, b = a * s, b * s
+        by_parity = (a + b, a - b)
+        keys = product((0, 1), repeat=g.arity)
+        return {key: v for key in keys if not is_zero(v := by_parity[sum(key) & 1])}
     if g.kind == WZ:
         return _spider(g.arity, one, _param_value(g.param, exact))
     if g.kind == H:
-        r = INV_SQRT2 if exact else complex(INV_SQRT2)
-        return {(0, 0): r, (0, 1): r, (1, 0): r, (1, 1): -r}
+        return {(0, 0): s, (0, 1): s, (1, 0): s, (1, 1): -s}
     if g.kind == W11:
         return {(0, 1): one, (1, 0): one}
     if g.kind == W12:
@@ -178,7 +196,7 @@ def _gen_entries(g: Gen, exact: bool, slot: Mapping[str, int]) -> dict:
     if g.kind == TRI:
         r = _param_value(g.param, exact)
         return {(0, 0): one, (1, 0): r, (1, 1): one}
-    raise SemanticsError(f"no tensor for generator kind {g.kind}")  # X: from Z and H in _contract_diagram
+    raise SemanticsError(f"no tensor for generator kind {g.kind}")
 
 
 def _spider(k: int, one, top) -> dict:
@@ -187,6 +205,7 @@ def _spider(k: int, one, top) -> dict:
 
 
 _HADAMARD = Gen(H, 1, 1)
+_DENSE_X = 4  # the widest X spider that enters a network as one tensor
 
 
 # -- contraction ---------------------------------------------------------------
@@ -326,14 +345,13 @@ def _contract_diagram(d: Diagram, exact: bool, slot: Mapping[str, int]) -> dict:
     Closed loops are one 0-leg tensor worth 2^loops, added when there are
     loops or no other tensors.
 
-    An X spider enters as its definition: a Z tensor, then one Hadamard
-    per leg in port order, port 0 on the leg's wire and port 1 on the Z
-    tensor's leg.  Up to arity 4 that network is contracted once per
-    generator object and call, and the spider enters as one tensor: its
-    2^k entries are then no more than the network's 2 + 4k.  A wider X
-    spider enters as the network itself, a Z tensor on fresh labels of its
-    own and a Hadamard per leg, so that the greedy order can merge each
-    Hadamard into a neighbour instead of building 2^k entries."""
+    An X spider of arity k <= 4 enters as one tensor in closed form
+    (`_gen_entries`): its 2^k entries are no more than the 2 + 4k of its
+    definition, a Z tensor with a Hadamard on every leg.  A wider X spider
+    enters as that definition, a Z tensor on fresh labels of its own and
+    one Hadamard per leg, port 0 on the leg's wire and port 1 on the Z
+    tensor's leg, so that the greedy order can merge each Hadamard into a
+    neighbour instead of building 2^k entries."""
     m, n = d.n_out, d.n_in
     one = Cyclo(1) if exact else 1 + 0j
     tensors = []
@@ -359,22 +377,11 @@ def _contract_diagram(d: Diagram, exact: bool, slot: Mapping[str, int]) -> dict:
     def tensor(g: Gen) -> dict:
         ent = built.get(id(g))
         if ent is None:
-            if g.kind != X:
-                ent = _gen_entries(g, exact, slot)
-            else:
-                ent = _gen_entries(Gen(Z, g.n_in, g.n_out, g.phase), exact, slot)
-                k = g.arity
-                if k <= 4:
-                    # leg i's Hadamard takes label i and leaves k + i as the
-                    # last leg, so the legs end in port order
-                    legs = tuple(range(k))
-                    for i in range(k):
-                        legs, ent = _contract_pair(legs, ent, (k + i, i), tensor(_HADAMARD))
-            built[id(g)] = ent
+            ent = built[id(g)] = _gen_entries(g, exact, slot)
         return ent
 
     for i, g in enumerate(d.nodes):
-        if g.kind != X or g.arity <= 4:
+        if g.kind != X or g.arity <= _DENSE_X:
             tensors.append((tuple(port_labels[i]), tensor(g)))
             continue
         legs = tuple(range(fresh, fresh + g.arity))

@@ -1,8 +1,9 @@
 """Shared test utilities: random diagram generation, matrices as numpy
 arrays for the oracles that compare against them, a dense `numpy.einsum`
-evaluator, reference builders for the state gadgets, the one-site-per-step
-simplifier, the per-character tokenizer, the printer that routed each edge
-by its pair of end kinds and the one-instance-at-a-time rule verifier."""
+evaluator, the red spider contracted from its definition, reference
+builders for the state gadgets, the one-site-per-step simplifier, the
+per-character tokenizer, the printer that routed each edge by its pair of
+end kinds and the one-instance-at-a-time rule verifier."""
 
 import cmath
 import itertools
@@ -23,7 +24,7 @@ from zxzw.diagrams import CROSS, CROSS_CYCLE, CalculusMismatch, Diagram, Diagram
 from zxzw.matrices import Matrix
 from zxzw.phases import Phase
 from zxzw.rings import Cyclo
-from zxzw.semantics import EXACT, FLOAT, Float, interp
+from zxzw.semantics import EXACT, FLOAT, Float, _contract_pair, _gen_entries, interp
 
 _FIXED = {"H": (1, 1), "W11": (1, 1), "W12": (1, 2), "CROSS": (2, 2), "HALF": (0, 0)}
 
@@ -212,6 +213,25 @@ def einsum_interp(d: Diagram) -> np.ndarray:
         operands += [_dense_tensor(g), [index["n", i, p] for p in range(g.arity)]]
     out = [index["o", k] for k in range(d.n_out)] + [index["i", k] for k in range(d.n_in)]
     return np.einsum(*operands, out).reshape(2**d.n_out, 2**d.n_in)
+
+
+# -- the red spider from its definition -------------------------------------------
+
+
+def reference_x_tensor(g: Gen, exact: bool, slot=None) -> dict:
+    """The tensor of a red spider `g`, legs in port order, as its
+    definition contracted: its Z tensor, then one Hadamard per leg, each
+    by `semantics._contract_pair`.  This is how the evaluator built a red
+    spider of arity <= 4 before it wrote that tensor in closed form."""
+    ent = _gen_entries(Gen("Z", g.n_in, g.n_out, g.phase), exact, slot or {})
+    hadamard = _gen_entries(Gen("H", 1, 1), exact, {})
+    k = g.arity
+    legs = tuple(range(k))
+    for i in range(k):
+        # leg i's Hadamard takes label i and leaves k + i as the last leg,
+        # so the legs end in port order
+        legs, ent = _contract_pair(legs, ent, (k + i, i), hadamard)
+    return ent
 
 
 # -- reference gadget builders -------------------------------------------------

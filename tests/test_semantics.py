@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    as_array, einsum_interp, matmul, random_diagram, rotate_cross_ports, shuffled_copy,
+    as_array, einsum_interp, matmul, random_diagram, reference_x_tensor, rotate_cross_ports,
+    shuffled_copy,
 )
 from test_acceptance import criterion_9_pairs
 from zxzw import diagrams as dg
@@ -175,6 +176,33 @@ def test_small_x_spider_is_built_without_a_pair_contraction(monkeypatch):
             interp(dg.x(n, m, 0.3), FLOAT)
             interp(dg.x(n, m, Phase.var("a") + Phase.exact_pi(Fraction(1, 4))), slot={"a": 0})
     assert len(calls) == 0  # one per leg when built from its definition
+
+
+def _x_phases(exact: bool) -> list:
+    """The grid phases, then, in float, three off the grid; then a variable."""
+    off_grid = [] if exact else [0.3, -2.1, math.pi - 1e-12]
+    return [Fraction(k, 4) for k in range(8)] + off_grid + [Phase.var("a") + Phase.exact_pi(Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(5 - n)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_small_x_spider_is_the_hadamard_chain_entry_for_entry(n, m, exact):
+    # the closed form takes the chain's products and sums: the keys come
+    # in one order, exact entries are equal and float ones print alike; a
+    # float polynomial's coefficients may differ in the sign of a zero part
+    def coords(key):
+        col, row = (int("".join(map(str, bits)) or "0", 2) for bits in (key[:n], key[n:]))
+        return row, col
+
+    for a in _x_phases(exact):
+        d = dg.x(n, m, a)
+        got = semantics._contract_diagram(d, exact, {"a": 0})
+        want = {coords(key): v for key, v in reference_x_tensor(d.nodes[0], exact, {"a": 0}).items()}
+        assert list(got) == list(want)
+        if exact or isinstance(a, Phase):
+            assert got == want
+        else:
+            assert list(map(repr, got.values())) == list(map(repr, want.values()))
 
 
 def test_wide_x_spider_enters_the_contraction_as_its_definition(monkeypatch):
